@@ -59,9 +59,15 @@ def measure_overhead(
     image_base: int = 0,
     cache_config: Optional[CacheConfig] = None,
     mem_config: Optional[MemoryConfig] = None,
+    baseline: Optional[SimReport] = None,
     **system_kwargs,
 ) -> OverheadResult:
-    """Run one engine and the baseline on the same trace."""
+    """Run one engine and the baseline on the same trace.
+
+    A ``baseline`` report already simulated for this trace and
+    configuration is used as is instead of running the plaintext system
+    again; it does not depend on the engine.
+    """
     from ..sim.fastpath import compile_trace
 
     cache_config = cache_config or CacheConfig()
@@ -81,7 +87,8 @@ def measure_overhead(
 
     engine = engine_factory()
     secured = run(engine)
-    baseline = run(None)
+    if baseline is None:
+        baseline = run(None)
     return OverheadResult(
         engine_name=secured.label,
         workload=workload,

@@ -20,7 +20,8 @@ known route to "strong security".
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 from .hmac import prf
 
@@ -37,6 +38,31 @@ def _keyed_permutation(material: bytes, n: int) -> List[int]:
         idx += 2
         perm[i], perm[r] = perm[r], perm[i]
     return perm
+
+
+#: One alphabet set: a tuple of 256-entry substitution tables.
+Alphabets = Tuple[Tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=64)
+def _alphabets(key: bytes, num_alphabets: int) -> Tuple[Alphabets, Alphabets]:
+    """The keyed substitution tables and their inverses for ``key``.
+
+    The key schedule is the expensive part of construction (one 1 KiB PRF
+    draw and shuffle per alphabet), so it runs once per key; the tables
+    are tuples, so every cipher built from the key can share them.
+    """
+    sboxes = []
+    inv_sboxes = []
+    for a in range(num_alphabets):
+        material = prf(key, b"best-sbox", bytes([a % 256]), out_len=1024)
+        sbox = _keyed_permutation(material, 256)
+        inv = [0] * 256
+        for i, v in enumerate(sbox):
+            inv[v] = i
+        sboxes.append(tuple(sbox))
+        inv_sboxes.append(tuple(inv))
+    return tuple(sboxes), tuple(inv_sboxes)
 
 
 class BestCipher:
@@ -66,16 +92,8 @@ class BestCipher:
         self.num_alphabets = num_alphabets
         self.rounds = rounds
 
-        self._sboxes: List[List[int]] = []
-        self._inv_sboxes: List[List[int]] = []
-        for a in range(num_alphabets):
-            material = prf(key, b"best-sbox", bytes([a % 256]), out_len=1024)
-            sbox = _keyed_permutation(material, 256)
-            inv = [0] * 256
-            for i, v in enumerate(sbox):
-                inv[v] = i
-            self._sboxes.append(sbox)
-            self._inv_sboxes.append(inv)
+        self._sboxes, self._inv_sboxes = _alphabets(bytes(key),
+                                                    num_alphabets)
 
         perm_material = prf(key, b"best-perm", out_len=4 * block_size)
         self._perm = _keyed_permutation(perm_material, block_size)

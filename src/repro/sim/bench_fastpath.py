@@ -247,6 +247,10 @@ def _vector(accesses: int, out: Optional[str]) -> int:
         _say(f"{backend:<8} rung={row['backend']:<8}"
              f" {row['accesses_per_second']:>9,} acc/s"
              f"  ({row['wall_seconds']:.2f}s, {accesses:,} accesses)")
+        if row["backend"] != backend:
+            # A demoted rung would compare a rung with itself and pass.
+            _say(f"FAIL {backend}: the child ran the {row['backend']} rung")
+            return 1
     digests = {row["metrics_sha256"] for row in rows}
     if len(digests) != 1:
         _say("FAIL: backends disagree on the canonical metrics document")

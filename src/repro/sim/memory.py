@@ -10,6 +10,7 @@ vs decompression latency).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -70,12 +71,16 @@ class MainMemory:
     (:class:`repro.faults.FaultInjector` is the canonical one).  The bulk
     helpers ``load_image``/``dump`` bypass interposers — they are the
     offline install path and the attacker's own probe, not bus traffic.
+
+    The contents live in an anonymous private mapping: untouched pages
+    read as zeros without being allocated, so a system costs only the
+    pages its trace touches.
     """
 
     def __init__(self, config: MemoryConfig = MemoryConfig(),
                  sink: Optional[EventSink] = None):
         self.config = config
-        self._data = bytearray(config.size)
+        self._data = mmap.mmap(-1, config.size, flags=mmap.MAP_PRIVATE)
         self.reads = 0
         self.writes = 0
         self.bytes_read = 0
@@ -105,7 +110,7 @@ class MainMemory:
         if self.sink is not None:
             self.sink.emit(TraceEvent(kind="mem-read", addr=addr,
                                       size=nbytes))
-        data = bytes(self._data[addr: addr + nbytes])
+        data = self._data[addr: addr + nbytes]
         for interposer in self._interposers:
             data = interposer("read", addr, data)
         return data
@@ -130,7 +135,7 @@ class MainMemory:
     def dump(self, addr: int, nbytes: int) -> bytes:
         """Bulk inspect without touching counters (the attacker's probe)."""
         self._check_range(addr, nbytes)
-        return bytes(self._data[addr: addr + nbytes])
+        return self._data[addr: addr + nbytes]
 
     def reset_stats(self) -> None:
         self.reads = self.writes = 0

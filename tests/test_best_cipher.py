@@ -1,12 +1,19 @@
 """Best's substitution/transposition cipher: correctness and the
 deliberate statistical weakness E06 measures."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import BestCipher
+from repro.api import run_experiment
 from repro.attacks import analyze_ciphertext
+from repro.core.registry import make_engine
+from repro.crypto import BestCipher
+
+GOLDEN = Path(__file__).resolve().parent.parent / "BENCH_quick_metrics.json"
 
 
 class TestCorrectness:
@@ -85,6 +92,46 @@ class TestWeakness:
         block = b"constant"
         assert BestCipher(b"key-a").encrypt(0, block) != \
             BestCipher(b"key-b").encrypt(0, block)
+
+
+class TestAlphabetMemo:
+    """The keyed alphabets are derived once per key and shared."""
+
+    def test_engines_share_one_table_object(self):
+        first, second = make_engine("best"), make_engine("best")
+        assert first.cipher is not second.cipher
+        assert first.cipher._sboxes is second.cipher._sboxes
+        assert first.cipher._inv_sboxes is second.cipher._inv_sboxes
+
+    def test_different_key_gives_different_tables(self):
+        a, b = BestCipher(b"key-a"), BestCipher(b"key-b")
+        assert a._sboxes != b._sboxes
+        assert a._inv_sboxes != b._inv_sboxes
+
+    def test_tables_are_immutable_tuples(self):
+        cipher = BestCipher(b"best-key", num_alphabets=4)
+        for tables in (cipher._sboxes, cipher._inv_sboxes):
+            assert isinstance(tables, tuple) and len(tables) == 4
+            assert all(isinstance(t, tuple) and len(t) == 256
+                       for t in tables)
+
+    def test_outputs_match_known_answers(self):
+        # Recorded from the per-instance derivation the memo replaced.
+        cipher = BestCipher(b"best-key")
+        assert cipher.encrypt(0x1000, b"8 bytes!").hex() == "f78f745f952ddb5a"
+        wide = BestCipher(b"best-key", block_size=16, num_alphabets=4,
+                          rounds=3)
+        assert wide.encrypt(12345, bytes(range(16))).hex() == \
+            "733ecef53e0a27fdd5b495cc691ae548"
+        assert make_engine("best").encrypt_line(64, bytes(range(32))).hex() \
+            == ("84b4aef5d5d79dc93452f1a47f52e5ea"
+                "9aecd77312318cfdb69f7039c0cf8a96")
+
+    def test_e06_matches_committed_metrics(self):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        doc = run_experiment("e06", quick=True).to_document()
+        expected = golden["experiments"]["e06"]
+        assert {key: doc[key] for key in expected} == expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.analysis import measure_overhead
 from repro.campaign import (
     CampaignCoordinator,
     CampaignSpec,
@@ -12,8 +13,13 @@ from repro.campaign import (
     merge_shard_documents,
     shard_document,
 )
+from repro.campaign import worker
+from repro.core.registry import make_engine
+from repro.obs import CounterSink, scope
 from repro.runner import ResultCache, stable_floats, task_seed, \
     to_canonical_json
+from repro.sim import CacheConfig, MemoryConfig
+from repro.traces import make_workload
 
 SMALL = CampaignSpec(
     engines=("stream", "xom"),
@@ -130,6 +136,58 @@ class TestDeterminism:
         two = CampaignCoordinator(SMALL, workers=1, cache_dir=None).run()
         assert one.metrics_json() == two.metrics_json()
         assert one.profile["cache"]["dir"] is None
+
+
+class TestBaselineMemo:
+    """The per-worker plaintext-baseline memo changes no output byte."""
+
+    @staticmethod
+    def _unmemoized(params):
+        return measure_overhead(
+            lambda: make_engine(params["engine"], functional=False),
+            make_workload(params["workload"], n=params["accesses"],
+                          seed=params["seed"]),
+            cache_config=CacheConfig(
+                size=params["cache_size"], line_size=params["line_size"],
+                associativity=params["associativity"]),
+            mem_config=MemoryConfig(latency=params["latency"]),
+        )
+
+    def test_warm_memo_matches_cleared_memo(self):
+        cold = {}
+        for point in SMALL.points():
+            worker._baseline_report.cache_clear()
+            cold[point.name] = to_canonical_json(
+                worker.execute_point(point.kind, dict(point.params)))
+        worker._baseline_report.cache_clear()
+        warm = {point.name: to_canonical_json(
+                    worker.execute_point(point.kind, dict(point.params)))
+                for point in SMALL.points()}
+        assert warm == cold
+        # Two engines per baseline column: half the points hit the memo.
+        assert worker._baseline_report.cache_info().hits == SMALL.size // 2
+
+    def test_memoized_baseline_equals_simulated_one(self):
+        point = SMALL.points()[0]
+        params = dict(point.params)
+        metrics = worker.execute_point(point.kind, params)
+        reference = self._unmemoized(params)
+        assert metrics["baseline_cycles"] == reference.baseline.cycles
+        assert metrics["cycles"] == reference.secured.cycles
+        assert metrics["overhead"] == round(reference.overhead, 6)
+
+    def test_ambient_sink_bypasses_the_memo(self):
+        point = SMALL.points()[0]
+        params = dict(point.params)
+        worker.execute_point(point.kind, params)      # warm the memo
+        before = worker._baseline_report.cache_info()
+        with scope(CounterSink()) as memo_path:
+            metrics = worker.execute_point(point.kind, params)
+        assert worker._baseline_report.cache_info() == before
+        with scope(CounterSink()) as plain_path:
+            reference = self._unmemoized(params)
+        assert memo_path.summary() == plain_path.summary()
+        assert metrics["baseline_cycles"] == reference.baseline.cycles
 
 
 class TestMerge:

@@ -8,8 +8,14 @@ write-through stores, no-write-allocate bypass, dirty-victim writebacks)
 on both the scalar and the batched path.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.registry import engine_names
 from repro.obs import (
     CounterSink,
@@ -385,3 +391,22 @@ class TestBackendRungDifferential:
         fast = bench_fastpath._run(engine, stream, reference=False)
         _assert_equivalent(ref, fast,
                            f"array engine={engine} chunk={chunk}")
+
+
+def test_vector_gate_fails_when_numpy_rung_is_demoted(tmp_path):
+    # A numpy that cannot be imported demotes the "numpy" child to the
+    # kernel rung; the gate must refuse rather than compare kernel with
+    # kernel and pass.
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text(
+        "raise ImportError('numpy hidden for the test')\n")
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.sim.bench_fastpath", "--vector",
+         "--accesses", "2000"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode != 0
+    assert "FAIL numpy: the child ran the kernel rung" in proc.stdout

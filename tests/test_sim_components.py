@@ -1,5 +1,7 @@
 """Memory, bus, pipeline timing and area estimation."""
 
+import os
+
 import pytest
 
 from repro.sim import (
@@ -69,6 +71,87 @@ class TestMainMemory:
         mem.load_image(0, b"firmware")
         assert mem.dump(0, 8) == b"firmware"
         assert mem.reads == 0 and mem.writes == 0
+
+
+class TestMainMemoryBacking:
+    """The zero-page backing behaves exactly like a zeroed byte array."""
+
+    SIZE = MemoryConfig().size          # the default 4 MiB
+    PAGE = 4096
+
+    def test_untouched_reads_are_zero_through_the_last_byte(self):
+        mem = MainMemory()
+        mem.write(self.PAGE * 7, b"\xff")
+        assert mem.read(self.SIZE - 1, 1) == b"\x00"
+        assert mem.read(self.SIZE - self.PAGE, self.PAGE) == bytes(self.PAGE)
+        assert mem.dump(0, self.PAGE * 7) == bytes(self.PAGE * 7)
+        assert type(mem.read(0, 4)) is bytes
+        assert type(mem.dump(0, 4)) is bytes
+
+    def test_round_trip_across_a_page_boundary(self):
+        mem = MainMemory()
+        data = bytes(range(256)) * 2
+        addr = 3 * self.PAGE - 100
+        mem.write(addr, data)
+        assert mem.read(addr, len(data)) == data
+        assert mem.dump(3 * self.PAGE, 4) == data[100:104]
+        assert mem.read(addr - 1, 1) == b"\x00"
+        assert mem.read(addr + len(data), 1) == b"\x00"
+
+    def test_whole_memory_dump_and_load_round_trip(self):
+        # The replay fault's path: snapshot everything, diverge, restore.
+        mem = MainMemory()
+        image = bytes(range(251)) * (self.SIZE // 251) + bytes(self.SIZE % 251)
+        mem.load_image(0, image)
+        snapshot = mem.dump(0, self.SIZE)
+        assert snapshot == image
+        mem.write(self.SIZE - 8, b"modified")
+        mem.write(0, b"modified")
+        mem.load_image(0, snapshot)
+        assert mem.dump(0, self.SIZE) == image
+
+    def test_out_of_range_raises_index_error(self):
+        mem = MainMemory()
+        for call in (lambda: mem.read(self.SIZE - 1, 2),
+                     lambda: mem.read(self.SIZE, 1),
+                     lambda: mem.write(self.SIZE - 3, b"four"),
+                     lambda: mem.write(-4, b"four"),
+                     lambda: mem.load_image(self.SIZE, b"x"),
+                     lambda: mem.dump(-1, 2)):
+            with pytest.raises(IndexError):
+                call()
+        assert mem.read(self.SIZE - 4, 4) == bytes(4)
+
+    def test_interposer_rewrites_reads_and_writes(self):
+        mem = MainMemory()
+        seen = []
+
+        def flip(op, addr, data):
+            seen.append((op, addr, bytes(data)))
+            return bytes(b ^ 0xFF for b in data)
+
+        mem.attach_interposer(flip)
+        mem.write(self.PAGE - 2, b"\x00\x01\x02\x03")
+        assert mem.dump(self.PAGE - 2, 4) == b"\xff\xfe\xfd\xfc"
+        assert mem.read(self.PAGE - 2, 4) == b"\x00\x01\x02\x03"
+        mem.detach_interposer(flip)
+        assert mem.read(self.PAGE - 2, 4) == b"\xff\xfe\xfd\xfc"
+        assert seen == [("write", self.PAGE - 2, b"\x00\x01\x02\x03"),
+                        ("read", self.PAGE - 2, b"\xff\xfe\xfd\xfc")]
+        assert mem.reads == 2 and mem.writes == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_writes_stay_in_the_child(self):
+        # Campaign workers fork: the backing must be private, not shared.
+        mem = MainMemory()
+        mem.write(0, b"parent")
+        pid = os.fork()
+        if pid == 0:
+            mem.write(0, b"child!")
+            os._exit(0 if mem.read(0, 6) == b"child!" else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WEXITSTATUS(status) == 0
+        assert mem.read(0, 6) == b"parent"
 
 
 class TestBus:
