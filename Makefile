@@ -119,10 +119,10 @@ vector-bench:
 
 # Fast-path smoke: the scalar reference and the batched execution path
 # must agree exactly — reports, bus streams, event totals — on one
-# stream and one block-mode engine (the full registry sweep runs in
-# tests/test_fastpath.py).
+# stream, one block-mode and one integrity engine, each functional and
+# timing-only (the full registry sweep runs in tests/test_fastpath.py).
 fastpath-smoke:
-	$(PYTHON) -m repro.sim.bench_fastpath --check stream integrity-xom
+	$(PYTHON) -m repro.sim.bench_fastpath --check stream xom integrity-xom
 
 # Cipher-kernel smoke: the equivalence tests plus a sanity run of the
 # microbenchmark (exits non-zero if any kernel diverges from its

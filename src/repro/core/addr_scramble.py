@@ -18,7 +18,7 @@ What it buys and what it doesn't (measured in the tests):
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from ..crypto.address_scrambler import AddressScrambler
 from ..sim.area import AreaEstimate
@@ -111,12 +111,14 @@ class AddressScrambledEngine(BusEncryptionEngine):
                                          self.inner.encrypt_lines(items)):
             memory.load_image(phys, ciphertext)
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        phys = self.physical(addr)
-        plaintext, cycles = self.inner.fill_line(port, phys, line_size)
-        self.stats.lines_decrypted += 1
-        return plaintext, cycles + self.translate_latency
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        filled = self.inner.fill_lines(
+            port, [self.physical(addr) for addr in addrs], line_size
+        )
+        self.stats.lines_decrypted += len(filled)
+        return [(plaintext, cycles + self.translate_latency)
+                for plaintext, cycles in filled]
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         phys = self.physical(addr)

@@ -28,14 +28,14 @@ estimate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 from ..crypto.drbg import DRBG
 from ..crypto.kernels import aes_kernel
 from ..crypto.modes import CBC, xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import AEGIS_AES_PIPE, PipelinedUnit
-from .engine import BlockModeEngine, MemoryPort
+from .engine import BlockModeEngine
 
 __all__ = ["AegisEngine"]
 
@@ -131,6 +131,29 @@ class AegisEngine(BlockModeEngine):
             for i in range(len(items))
         ]
 
+    def decrypt_lines(self, items):
+        # Lines are independent CBC chains and CBC decryption has no
+        # chain dependency, so the group needs one batched IV derivation
+        # and one batched block decryption; the per-line XOR with
+        # ``iv || ct[:-16]`` reproduces CBC.decrypt exactly.  Widths that
+        # are not whole AES blocks fall back to the per-line path.
+        if any(len(ct) % 16 for _, ct in items):
+            return super().decrypt_lines(items)
+        material = b"".join(
+            addr.to_bytes(8, "big")
+            + self._vectors.get(addr, 0).to_bytes(8, "big")
+            for addr, _ in items
+        )
+        ivs = self._iv_aes.encrypt_blocks(material)
+        decrypted = self._aes.decrypt_blocks(b"".join(ct for _, ct in items))
+        out: List[bytes] = []
+        pos = 0
+        for i, (_, ct) in enumerate(items):
+            chain = ivs[16 * i: 16 * (i + 1)] + ct[:-16]
+            out.append(xor_bytes(decrypted[pos: pos + len(ct)], chain))
+            pos += len(ct)
+        return out
+
     # -- timing ---------------------------------------------------------------
 
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
@@ -146,44 +169,6 @@ class AegisEngine(BlockModeEngine):
         nblocks = self._nblocks(nbytes)
         self.stats.blocks_processed += nblocks
         return self.unit.latency + nblocks * self.unit.latency
-
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        # The CBC chain is per line and decryption has no chain
-        # dependency, so the group needs one batched IV derivation and
-        # one batched block decryption; the per-line XOR with
-        # ``iv || ct[:-16]`` reproduces CBC.decrypt exactly.  Fills never
-        # re-encrypt, so the vector table is stable across the group.
-        if self.functional and line_size % 16:
-            return super().fill_lines(port, addrs, line_size)
-        ciphertexts: List[bytes] = []
-        cycles: List[int] = []
-        for addr in addrs:
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            extra = self.read_extra_cycles(addr, line_size, mem_cycles)
-            self.stats.lines_decrypted += 1
-            self.stats.extra_read_cycles += extra
-            if self.sink is not None:
-                self._emit("decipher", addr, line_size)
-                if extra:
-                    self._emit("stall", addr, extra, "read")
-            ciphertexts.append(ciphertext)
-            cycles.append(mem_cycles + extra)
-        if not self.functional:
-            return list(zip(ciphertexts, cycles))
-        material = b"".join(
-            addr.to_bytes(8, "big")
-            + self._vectors.get(addr, 0).to_bytes(8, "big")
-            for addr in addrs
-        )
-        ivs = self._iv_aes.encrypt_blocks(material)
-        decrypted = self._aes.decrypt_blocks(b"".join(ciphertexts))
-        out: List[Tuple[bytes, int]] = []
-        for i, ciphertext in enumerate(ciphertexts):
-            chain = ivs[16 * i: 16 * (i + 1)] + ciphertext[:-16]
-            block = decrypted[i * line_size: (i + 1) * line_size]
-            out.append((xor_bytes(block, chain), cycles[i]))
-        return out
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

@@ -23,7 +23,7 @@ memory the saved beats win; with fast memory the decoder latency loses.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compression.codepack import CodePack, CompressedImage
 from ..crypto.modes import xor_bytes
@@ -136,39 +136,43 @@ class CompressedEncryptionEngine(BusEncryptionEngine):
 
     # -- fills ------------------------------------------------------------------
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        entry = self._lat.get(addr)
-        if entry is None:
-            # Data region: plain stream-encrypted line.
-            self.uncompressed_fills += 1
-            return self._inner.fill_line(port, addr, line_size)
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        out: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            entry = self._lat.get(addr)
+            if entry is None:
+                # Data region: plain stream-encrypted line.
+                self.uncompressed_fills += 1
+                out.append(self._inner.fill_line(port, addr, line_size))
+                continue
 
-        self.compressed_fills += 1
-        packed_addr, length = entry
-        ciphertext, mem_cycles = port.read(packed_addr, length)
-        # Pad XOR overlaps the (shorter) fetch like the inner engine's.
-        pad_cycles = self.unit.time_for(-(-length // 16))
-        crypto_extra = max(0, pad_cycles - mem_cycles) + 1
-        decode_extra = self._decoder_cycles(line_size)
-        self.stats.lines_decrypted += 1
-        self.stats.extra_read_cycles += crypto_extra + decode_extra
-        self._emit("decipher", packed_addr, length, "compressed")
-        if crypto_extra + decode_extra:
-            self._emit("stall", packed_addr, crypto_extra + decode_extra,
-                       "read")
+            self.compressed_fills += 1
+            packed_addr, length = entry
+            ciphertext, mem_cycles = port.read(packed_addr, length)
+            # Pad XOR overlaps the (shorter) fetch like the inner engine's.
+            pad_cycles = self.unit.time_for(-(-length // 16))
+            crypto_extra = max(0, pad_cycles - mem_cycles) + 1
+            decode_extra = self._decoder_cycles(line_size)
+            self.stats.lines_decrypted += 1
+            self.stats.extra_read_cycles += crypto_extra + decode_extra
+            self._emit("decipher", packed_addr, length, "compressed")
+            if crypto_extra + decode_extra:
+                self._emit("stall", packed_addr, crypto_extra + decode_extra,
+                           "read")
 
-        if self.functional:
-            compressed = xor_bytes(
-                ciphertext, self._inner._pad(packed_addr, length)
-            )
-            plaintext = self._codec.decompress_block(
-                compressed, line_size,
-                self._image.dict_high, self._image.dict_low,
-            )
-        else:
-            plaintext = bytes(line_size)
-        return plaintext, mem_cycles + crypto_extra + decode_extra
+            if self.functional:
+                compressed = xor_bytes(
+                    ciphertext, self._inner._pad(packed_addr, length)
+                )
+                plaintext = self._codec.decompress_block(
+                    compressed, line_size,
+                    self._image.dict_high, self._image.dict_low,
+                )
+            else:
+                plaintext = bytes(line_size)
+            out.append((plaintext, mem_cycles + crypto_extra + decode_extra))
+        return out
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         if addr in self._lat:

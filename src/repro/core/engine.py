@@ -125,10 +125,16 @@ class BusEncryptionEngine(ABC):
     """Abstract EDU.
 
     Concrete engines define the functional transform (``encrypt_line`` /
-    ``decrypt_line``) and the added latency.  ``fill_line`` / ``write_line``
-    are the entry points the system calls; the defaults implement the common
-    pattern (fetch ciphertext, decrypt; encrypt, store) and can be overridden
-    for engines with richer behaviour (page DMA, prefetchers, pads).
+    ``decrypt_line``) and the added latency.  The system reaches the
+    engine through five overridable hooks: ``fill_lines`` (a group of
+    line fills; one line is a group of one, see :meth:`fill_line`),
+    ``write_line``, ``write_partial`` and the pure batch transforms
+    ``decrypt_lines`` / ``encrypt_lines``.  The default ``fill_lines``
+    owns the per-line bus-side bookkeeping (bus read, added cycles,
+    stats, events) and hands the group's ciphertexts to
+    ``decrypt_lines``, so batched engines override only the transform;
+    engines with richer miss paths (page DMA, pad-ahead, tag or tree
+    fetches) override ``fill_lines`` itself.
     """
 
     name: str = "abstract"
@@ -231,20 +237,8 @@ class BusEncryptionEngine(ABC):
 
     def fill_line(self, port: MemoryPort, addr: int, line_size: int
                   ) -> Tuple[bytes, int]:
-        """Service a cache-line fill; returns (plaintext, total cycles)."""
-        ciphertext, mem_cycles = port.read(addr, line_size)
-        extra = self.read_extra_cycles(addr, line_size, mem_cycles)
-        self.stats.lines_decrypted += 1
-        self.stats.extra_read_cycles += extra
-        # Miss-path hot loop: guard inline so the disabled path costs one
-        # is-None test, not a method call per fill.
-        if self.sink is not None:
-            self._emit("decipher", addr, line_size)
-            if extra:
-                self._emit("stall", addr, extra, "read")
-        plaintext = self.decrypt_line(addr, ciphertext) if self.functional \
-            else ciphertext
-        return plaintext, mem_cycles + extra
+        """Service one cache-line fill: a :meth:`fill_lines` group of one."""
+        return self.fill_lines(port, [addr], line_size)[0]
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         """Service a full-line writeback; returns total cycles."""
@@ -262,36 +256,70 @@ class BusEncryptionEngine(ABC):
     # -- bulk entry points ---------------------------------------------------
     #
     # The batched trace executor (repro.sim.fastpath) collects the miss
-    # stream and hands whole groups of line fills/writebacks to the engine
-    # at once.  The defaults preserve scalar semantics exactly — same
-    # per-line port traffic, stats, events and cycle accounting, in the
-    # same order — so every engine works unported; engines with batched
-    # kernels override to amortize the crypto across the group.
+    # stream and hands whole groups of line fills to the engine at once.
+    # The bus side of a fill stays per line and in order; only the byte
+    # transform is batched, so a group behaves exactly like its lines
+    # filled one at a time.
+
+    def _fetch(self, port: MemoryPort, addr: int, line_size: int
+               ) -> Tuple[bytes, int]:
+        """Bus side of one fill; returns (ciphertext, total cycles).
+
+        Reads the line, accounts the added latency and emits the
+        decipher/stall events: the one copy of the per-line bookkeeping
+        of a plain read-and-decipher fill.
+        """
+        ciphertext, mem_cycles = port.read(addr, line_size)
+        extra = self.read_extra_cycles(addr, line_size, mem_cycles)
+        self.stats.lines_decrypted += 1
+        self.stats.extra_read_cycles += extra
+        # Miss-path hot loop: guard inline so the disabled path costs one
+        # is-None test, not a method call per fill.
+        if self.sink is not None:
+            self._emit("decipher", addr, line_size)
+            if extra:
+                self._emit("stall", addr, extra, "read")
+        return ciphertext, mem_cycles + extra
+
+    def _decipher(self, addrs: Sequence[int],
+                  fetched: List[Tuple[bytes, int]]
+                  ) -> List[Tuple[bytes, int]]:
+        """Turn fetched (ciphertext, cycles) pairs into (plaintext, cycles)."""
+        if not self.functional:
+            return fetched
+        plaintexts = self.decrypt_lines(
+            [(addr, ct) for addr, (ct, _) in zip(addrs, fetched)]
+        )
+        return [(pt, cycles) for pt, (_, cycles) in zip(plaintexts, fetched)]
 
     def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
                    line_size: int) -> List[Tuple[bytes, int]]:
         """Service a group of cache-line fills; one (plaintext, cycles) each.
 
-        Must behave exactly like ``[fill_line(port, a, line_size) for a in
-        addrs]``: bulk implementations may batch the *byte transforms* but
-        keep the per-line bus reads, stats updates and events in order.
+        Bus reads, stats and events stay per line and in order; the
+        group's ciphertexts then go through one :meth:`decrypt_lines`
+        call.  Overrides must keep that per-line sequencing.
         """
-        return [self.fill_line(port, addr, line_size) for addr in addrs]
+        return self._decipher(
+            addrs, [self._fetch(port, addr, line_size) for addr in addrs]
+        )
 
-    def spill_lines(self, port: MemoryPort,
-                    writes: Sequence[Tuple[int, bytes]]) -> List[int]:
-        """Service a group of full-line writebacks; returns cycles per line.
+    def decrypt_lines(self, items: Sequence[Tuple[int, bytes]]
+                      ) -> List[bytes]:
+        """Batch decryption of ``(addr, ciphertext)`` pairs, in order.
 
-        The bulk dual of :meth:`write_line`, with the same equivalence
-        contract as :meth:`fill_lines`.
+        The fill-time dual of :meth:`encrypt_lines`: must return exactly
+        ``[self.decrypt_line(addr, ct) for addr, ct in items]``.  A pure
+        transform — no port traffic, stats or events — so overrides are
+        free to batch the whole group through one kernel call.
         """
-        return [self.write_line(port, addr, data) for addr, data in writes]
+        return [self.decrypt_line(addr, ct) for addr, ct in items]
 
     def encrypt_lines(self, items: Sequence[Tuple[int, bytes]]
                       ) -> List[bytes]:
         """Offline batch encryption of ``(addr, line)`` pairs, in order.
 
-        The install-time dual of :meth:`fill_lines`: must return exactly
+        The install-time dual of :meth:`decrypt_lines`: must return exactly
         ``[self.encrypt_line(addr, line) for addr, line in items]``
         including any per-line engine state the transform advances
         (stream versions, AEGIS vectors).  No port traffic, stats or
@@ -324,8 +352,15 @@ class BusEncryptionEngine(ABC):
 
         # Read-modify-write over the enclosing cipher-aligned region.
         gran = self.min_write_bytes
-        start = (addr // gran) * gran
-        end = -(-(addr + len(data)) // gran) * gran
+        return self._read_modify_write(
+            port, addr, data, (addr // gran) * gran,
+            -(-(addr + len(data)) // gran) * gran,
+        )
+
+    def _read_modify_write(self, port: MemoryPort, addr: int, data: bytes,
+                           start: int, end: int) -> int:
+        """Patch ``data`` into the region ``[start, end)``: read, decipher,
+        modify, re-cipher, write back; returns total cycles."""
         self.stats.rmw_operations += 1
         if self.sink is not None:
             self._emit("rmw", addr, end - start)
@@ -350,9 +385,6 @@ class BusEncryptionEngine(ABC):
         return read_cycles + dec_extra + enc_extra + write_cycles
 
     # -- reporting ----------------------------------------------------------
-
-    def notify_access(self, addr: int, is_fetch: bool) -> None:
-        """Hook invoked for every CPU access (prefetchers override)."""
 
     @abstractmethod
     def area(self) -> AreaEstimate:
@@ -381,17 +413,6 @@ class NullEngine(BusEncryptionEngine):
 
     def write_extra_cycles(self, addr: int, nbytes: int) -> int:
         return 0
-
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        # Identity transform, zero extra cycles, no cipher events: the
-        # bulk fill is just the bus reads plus the decrypt counter.
-        out = []
-        for addr in addrs:
-            data, mem_cycles = port.read(addr, line_size)
-            self.stats.lines_decrypted += 1
-            out.append((data, mem_cycles))
-        return out
 
     def area(self) -> AreaEstimate:
         return AreaEstimate(self.name)

@@ -26,9 +26,8 @@ verified region entry.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ..crypto.hmac import hmac_sha256, verify_hmac
 from ..crypto.kernels import tdes_kernel
@@ -104,16 +103,6 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
         self._chain_state: Dict[int, Tuple[int, bytes]] = {}
         self.chain_hits = 0
         self.chain_restarts = 0
-
-    @property
-    def tamper_detected(self) -> int:
-        """Deprecated alias of ``self.verdicts.tampers``."""
-        warnings.warn(
-            "GeneralInstrumentEngine.tamper_detected is deprecated; read "
-            "engine.verdicts.tampers instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.tampers
 
     @property
     def detects(self) -> FrozenSet[str]:
@@ -210,7 +199,7 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
     #
     # encrypt_line/decrypt_line operate in region context: the engine reads
     # whatever prefix of the region the chain requires.  They are exercised
-    # through install_image / fill_line / write_line below, which carry the
+    # through install_image / fill_lines / write_line below, which carry the
     # memory handle needed for the chained prefix.
 
     def encrypt_line(self, addr: int, plaintext: bytes) -> bytes:
@@ -293,10 +282,14 @@ class GeneralInstrumentEngine(BusEncryptionEngine):
             plaintext = bytes(stored[addr - base: addr - base + line_size])
         return plaintext, cycles
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        if self.reorder:
-            return self._fill_line_reordered(port, addr, line_size)
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        fill = (self._fill_line_reordered if self.reorder
+                else self._fill_line_chained)
+        return [fill(port, addr, line_size) for addr in addrs]
+
+    def _fill_line_chained(self, port: MemoryPort, addr: int, line_size: int
+                           ) -> Tuple[bytes, int]:
         base = self._region_base(addr)
         chain = self._chain_state.get(base)
         cycles = 0

@@ -29,8 +29,7 @@ computation and store.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..crypto.hmac import consttime_eq, hmac_sha256
 from ..sim.area import AreaEstimate
@@ -83,30 +82,8 @@ class IntegrityShieldEngine(BusEncryptionEngine):
 
     # -- verdict accounting ------------------------------------------------
     #
-    # The shield used to keep private ``tampers_detected``/``tags_verified``
-    # counters; both are now derived from the uniform verdict path
-    # (``BusEncryptionEngine.verify_line`` -> ``self.verdicts``) and kept
-    # as deprecated read-only aliases for one release.
-
-    @property
-    def tampers_detected(self) -> int:
-        """Deprecated alias of ``self.verdicts.tampers``."""
-        warnings.warn(
-            "IntegrityShieldEngine.tampers_detected is deprecated; read "
-            "engine.verdicts.tampers instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.tampers
-
-    @property
-    def tags_verified(self) -> int:
-        """Deprecated alias of ``self.verdicts.checks``."""
-        warnings.warn(
-            "IntegrityShieldEngine.tags_verified is deprecated; read "
-            "engine.verdicts.checks instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.checks
+    # Tag checks report through the uniform verdict path
+    # (``BusEncryptionEngine.verify_line`` -> ``self.verdicts``).
 
     @property
     def detects(self) -> FrozenSet[str]:
@@ -205,35 +182,39 @@ class IntegrityShieldEngine(BusEncryptionEngine):
 
     # -- fills / writes -------------------------------------------------------
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
         self._line_size_hint = line_size
-        ciphertext, mem_cycles = port.read(addr, line_size)
-        tag, tag_cycles = self._read_tag(port, addr, line_size)
-        # The MAC engine digests ciphertext beats as they arrive, so only
-        # the residual drain past the fetch lands on the critical path.
-        hash_residual = max(0, self.hash_latency - mem_cycles) + 4
-        cycles = mem_cycles + tag_cycles + hash_residual
+        out: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            ciphertext, mem_cycles = port.read(addr, line_size)
+            tag, tag_cycles = self._read_tag(port, addr, line_size)
+            # The MAC engine digests ciphertext beats as they arrive, so only
+            # the residual drain past the fetch lands on the critical path.
+            hash_residual = max(0, self.hash_latency - mem_cycles) + 4
+            cycles = mem_cycles + tag_cycles + hash_residual
 
-        ok = (not self.functional
-              or consttime_eq(bytes(tag), self._compute_tag(addr, ciphertext)))
-        if not self.verify_line(addr, line_size, ok):
-            raise TamperDetected(
-                f"line at {addr:#x} failed integrity verification"
+            ok = (not self.functional
+                  or consttime_eq(bytes(tag),
+                                  self._compute_tag(addr, ciphertext)))
+            if not self.verify_line(addr, line_size, ok):
+                raise TamperDetected(
+                    f"line at {addr:#x} failed integrity verification"
+                )
+            extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
+            cycles += extra
+            self.stats.lines_decrypted += 1
+            self.stats.extra_read_cycles += extra + tag_cycles + hash_residual
+            self._emit("decipher", addr, line_size)
+            stall = extra + tag_cycles + hash_residual
+            if stall:
+                self._emit("stall", addr, stall, "read")
+            plaintext = (
+                self.inner.decrypt_line(addr, ciphertext)
+                if self.functional else ciphertext
             )
-        extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
-        cycles += extra
-        self.stats.lines_decrypted += 1
-        self.stats.extra_read_cycles += extra + tag_cycles + hash_residual
-        self._emit("decipher", addr, line_size)
-        stall = extra + tag_cycles + hash_residual
-        if stall:
-            self._emit("stall", addr, stall, "read")
-        plaintext = (
-            self.inner.decrypt_line(addr, ciphertext)
-            if self.functional else ciphertext
-        )
-        return plaintext, cycles
+            out.append((plaintext, cycles))
+        return out
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         if self.versioned:

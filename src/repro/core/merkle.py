@@ -23,9 +23,8 @@ The engine composes with any confidentiality engine and adds:
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..crypto.hmac import hmac_sha256
 from ..sim.area import AreaEstimate
@@ -84,26 +83,6 @@ class MerkleTreeEngine(BusEncryptionEngine):
         #: Trusted (verified or self-written) nodes: (level, index) -> value.
         self._node_cache: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
         self.cache_stops = 0
-
-    @property
-    def tampers_detected(self) -> int:
-        """Deprecated alias of ``self.verdicts.tampers``."""
-        warnings.warn(
-            "MerkleTreeEngine.tampers_detected is deprecated; read "
-            "engine.verdicts.tampers instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.tampers
-
-    @property
-    def paths_verified(self) -> int:
-        """Deprecated alias of ``self.verdicts.checks``."""
-        warnings.warn(
-            "MerkleTreeEngine.paths_verified is deprecated; read "
-            "engine.verdicts.checks instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.verdicts.checks
 
     # -- tree geometry -----------------------------------------------------
     #
@@ -197,7 +176,7 @@ class MerkleTreeEngine(BusEncryptionEngine):
         """Authenticate one line against the root; returns cycles.
 
         Raises :class:`MerkleTamperDetected` on any mismatch; the caller
-        (:meth:`fill_line`) routes the outcome through the uniform
+        (:meth:`fill_lines`) routes the outcome through the uniform
         verdict path.
         """
         cycles = 0
@@ -293,28 +272,31 @@ class MerkleTreeEngine(BusEncryptionEngine):
     def write_extra_cycles(self, addr: int, nbytes: int) -> int:
         return self.inner.write_extra_cycles(addr, nbytes)
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        ciphertext, mem_cycles = port.read(addr, line_size)
-        cycles = mem_cycles
-        try:
-            cycles += self._verify_path(port, addr, bytes(ciphertext))
-        except MerkleTamperDetected:
-            self.verify_line(addr, line_size, ok=False)
-            raise
-        self.verify_line(addr, line_size, ok=True)
-        extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
-        cycles += extra
-        self.stats.lines_decrypted += 1
-        self.stats.extra_read_cycles += cycles - mem_cycles
-        self._emit("decipher", addr, line_size)
-        if cycles - mem_cycles:
-            self._emit("stall", addr, cycles - mem_cycles, "read")
-        plaintext = (
-            self.inner.decrypt_line(addr, ciphertext)
-            if self.functional else ciphertext
-        )
-        return plaintext, cycles
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        out: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            ciphertext, mem_cycles = port.read(addr, line_size)
+            cycles = mem_cycles
+            try:
+                cycles += self._verify_path(port, addr, bytes(ciphertext))
+            except MerkleTamperDetected:
+                self.verify_line(addr, line_size, ok=False)
+                raise
+            self.verify_line(addr, line_size, ok=True)
+            extra = self.inner.read_extra_cycles(addr, line_size, mem_cycles)
+            cycles += extra
+            self.stats.lines_decrypted += 1
+            self.stats.extra_read_cycles += cycles - mem_cycles
+            self._emit("decipher", addr, line_size)
+            if cycles - mem_cycles:
+                self._emit("stall", addr, cycles - mem_cycles, "read")
+            plaintext = (
+                self.inner.decrypt_line(addr, ciphertext)
+                if self.functional else ciphertext
+            )
+            out.append((plaintext, cycles))
+        return out
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         extra = self.inner.write_extra_cycles(addr, len(plaintext))

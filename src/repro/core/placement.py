@@ -21,7 +21,7 @@ one workload and returns the table E12 prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..crypto.kernels import aes_kernel, ctr_pad
 from ..crypto.modes import xor_bytes
@@ -30,7 +30,7 @@ from ..sim.cache import CacheConfig
 from ..sim.memory import MemoryConfig
 from ..sim.pipeline import KEYSTREAM_UNIT, PipelinedUnit, XOM_AES_PIPE
 from ..traces.trace import Trace
-from .engine import BusEncryptionEngine, MemoryPort, Placement
+from .engine import BusEncryptionEngine, Placement
 from .stream_engine import StreamCipherEngine
 
 # NOTE: repro.sim.system imports this package (for the engine interface), so
@@ -83,6 +83,29 @@ class CpuCacheStreamEngine(BusEncryptionEngine):
     def decrypt_line(self, addr: int, ciphertext: bytes) -> bytes:
         return xor_bytes(ciphertext, self._pad(addr, len(ciphertext)))
 
+    def decrypt_lines(self, items):
+        # Position-keyed keystream: one batched pad call covers the whole
+        # group (the counter layout depends only on the block address).
+        size = 16
+        spans: List[Tuple[int, int]] = []
+        material: List[bytes] = []
+        for addr, ct in items:
+            start = addr - addr % size
+            end = -(-(addr + len(ct)) // size) * size
+            material.append(b"".join(
+                b"cpu$" + (block_addr // 16).to_bytes(12, "big")
+                for block_addr in range(start, end, size)
+            ))
+            spans.append((addr - start, end - start))
+        pad = self._aes.encrypt_blocks(b"".join(material))
+        out: List[bytes] = []
+        pos = 0
+        for (offset, span), (_, ct) in zip(spans, items):
+            line_pad = pad[pos + offset: pos + offset + len(ct)]
+            out.append(xor_bytes(ct, line_pad))
+            pos += span
+        return out
+
     def read_extra_cycles(self, addr: int, nbytes: int, mem_cycles: int) -> int:
         # Miss path: data flows memory -> cache unmodified (already masked);
         # nothing extra beyond the fetch.
@@ -99,41 +122,6 @@ class CpuCacheStreamEngine(BusEncryptionEngine):
         # Generate the pad on demand: the generator's fill latency lands on
         # the cache access path.
         return self.unit.latency
-
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        # Position-keyed keystream: one batched pad call covers the whole
-        # group (the counter layout depends only on the block address).
-        ciphertexts: List[bytes] = []
-        cycles: List[int] = []
-        for addr in addrs:
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            self.stats.lines_decrypted += 1
-            if self.sink is not None:
-                self._emit("decipher", addr, line_size)
-            ciphertexts.append(ciphertext)
-            cycles.append(mem_cycles)
-        if not self.functional:
-            return list(zip(ciphertexts, cycles))
-        size = 16
-        spans: List[Tuple[int, int]] = []
-        material: List[bytes] = []
-        for addr in addrs:
-            start = addr - addr % size
-            end = -(-(addr + line_size) // size) * size
-            material.append(b"".join(
-                b"cpu$" + (block_addr // 16).to_bytes(12, "big")
-                for block_addr in range(start, end, size)
-            ))
-            spans.append((addr - start, end - start))
-        pad = self._aes.encrypt_blocks(b"".join(material))
-        out: List[Tuple[bytes, int]] = []
-        pos = 0
-        for i, (offset, span) in enumerate(spans):
-            line_pad = pad[pos + offset: pos + offset + line_size]
-            out.append((xor_bytes(ciphertexts[i], line_pad), cycles[i]))
-            pos += span
-        return out
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

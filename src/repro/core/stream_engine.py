@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..crypto.kernels import aes_kernel, ctr_pad
+from ..crypto.kernels import aes_kernel
 from ..crypto.modes import xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import PipelinedUnit, XOM_AES_PIPE
@@ -78,12 +78,33 @@ class StreamCipherEngine(BusEncryptionEngine):
         """Keystream for [addr, addr+nbytes) at the line's current version."""
         if version is None:
             version = self._versions.get(addr - addr % self.line_size, 0)
-        prefix = b"pad!" + version.to_bytes(4, "big")
-        return ctr_pad(
-            self._aes, addr, nbytes,
-            lambda block_addr:
-                prefix + (block_addr // 16).to_bytes(8, "big"),
-        )
+        return self._keystream([(addr, nbytes, version)])[0]
+
+    def _keystream(self, spans: Sequence[Tuple[int, int, int]]
+                   ) -> List[bytes]:
+        """Pads for ``(addr, nbytes, version)`` spans in one keystream call.
+
+        The CTR counter block of each 16-byte block is the version-tagged
+        block index, so any span's pad is seekable by address alone.
+        """
+        size = 16
+        material: List[bytes] = []
+        for addr, nbytes, version in spans:
+            prefix = b"pad!" + version.to_bytes(4, "big")
+            start = addr - addr % size
+            end = -(-(addr + nbytes) // size) * size
+            material.append(b"".join(
+                prefix + (block_addr // 16).to_bytes(8, "big")
+                for block_addr in range(start, end, size)
+            ))
+        pad = self._aes.encrypt_blocks(b"".join(material))
+        out: List[bytes] = []
+        pos = 0
+        for addr, nbytes, _ in spans:
+            offset = addr % size
+            out.append(pad[pos + offset: pos + offset + nbytes])
+            pos += -(-(offset + nbytes) // size) * size
+        return out
 
     def _pad_blocks(self, nbytes: int) -> int:
         return -(-nbytes // 16)
@@ -114,30 +135,27 @@ class StreamCipherEngine(BusEncryptionEngine):
         # Install batch: advance every line's version in order (exactly
         # like per-line encrypt_line), then produce the whole keystream
         # in one kernel call.
-        size = 16
         spans = []
-        material = []
         for addr, line in items:
             line_addr = addr - addr % self.line_size
             version = self._versions.get(line_addr, 0) + 1
             self._versions[line_addr] = version
             self._pad_cache.pop(line_addr, None)
-            prefix = b"pad!" + version.to_bytes(4, "big")
-            start = addr - addr % size
-            end = -(-(addr + len(line)) // size) * size
-            material.append(b"".join(
-                prefix + (block_addr // 16).to_bytes(8, "big")
-                for block_addr in range(start, end, size)
-            ))
-            spans.append((addr - start, end - start))
-        pad = self._aes.encrypt_blocks(b"".join(material))
-        out = []
-        pos = 0
-        for (offset, span), (_, line) in zip(spans, items):
-            out.append(xor_bytes(line, pad[pos + offset:
-                                           pos + offset + len(line)]))
-            pos += span
-        return out
+            spans.append((addr, len(line), version))
+        return [xor_bytes(line, pad)
+                for (_, line), pad in zip(items, self._keystream(spans))]
+
+    def decrypt_lines(self, items):
+        # Versions only advance on writes, so every line's decrypt pad is
+        # known up front and the whole group's keystream comes from one
+        # batched call.
+        versions = self._versions
+        spans = [
+            (addr, len(ct), versions.get(addr - addr % self.line_size, 0))
+            for addr, ct in items
+        ]
+        return [xor_bytes(ct, pad)
+                for (_, ct), pad in zip(items, self._keystream(spans))]
 
     # -- timing ---------------------------------------------------------------
 
@@ -165,66 +183,17 @@ class StreamCipherEngine(BusEncryptionEngine):
 
     # -- system hooks ----------------------------------------------------------
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        plaintext, cycles = super().fill_line(port, addr, line_size)
-        # Pad-ahead: precompute keystream for the next sequential lines.
-        for i in range(1, self.pad_ahead_depth + 1):
-            self._cache_pad(addr + i * line_size)
-        return plaintext, cycles
-
-    def _pads_bulk(self, addrs: Sequence[int], nbytes: int) -> List[bytes]:
-        """Decrypt pads for a group of fills in one keystream call.
-
-        Byte-for-byte the same pads :meth:`_pad` produces per line (same
-        counter-block layout, batched through one ``encrypt_blocks``).
-        Only valid while no write intervenes: versions are read up front.
-        """
-        size = 16
-        spans: List[Tuple[int, int]] = []
-        material: List[bytes] = []
-        for addr in addrs:
-            version = self._versions.get(addr - addr % self.line_size, 0)
-            prefix = b"pad!" + version.to_bytes(4, "big")
-            start = addr - addr % size
-            end = -(-(addr + nbytes) // size) * size
-            material.append(b"".join(
-                prefix + (block_addr // 16).to_bytes(8, "big")
-                for block_addr in range(start, end, size)
-            ))
-            spans.append((addr - start, end - start))
-        pad = self._aes.encrypt_blocks(b"".join(material))
-        out: List[bytes] = []
-        pos = 0
-        for offset, span in spans:
-            out.append(pad[pos + offset: pos + offset + nbytes])
-            pos += span
-        return out
-
     def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
                    line_size: int) -> List[Tuple[bytes, int]]:
-        # Versions only advance on writes, so every line's decrypt pad is
-        # known up front and the whole group's keystream comes from one
-        # batched call.  The per-line sequencing — bus read, pad-cache
-        # timing, events, pad-ahead — is unchanged and in order, so the
-        # pad-cache hit/miss stats evolve exactly as under scalar fills.
-        if not self.functional:
-            return super().fill_lines(port, addrs, line_size)
-        pads = self._pads_bulk(addrs, line_size)
-        out: List[Tuple[bytes, int]] = []
-        for addr, pad in zip(addrs, pads):
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            extra = self.read_extra_cycles(addr, line_size, mem_cycles)
-            self.stats.lines_decrypted += 1
-            self.stats.extra_read_cycles += extra
-            if self.sink is not None:
-                self._emit("decipher", addr, line_size)
-                if extra:
-                    self._emit("stall", addr, extra, "read")
-            out.append((xor_bytes(ciphertext, pad), mem_cycles + extra))
+        # Pad-ahead runs after each line's fetch, in order: the next
+        # line's pad-cache lookup (its timing and hit/miss stats) depends
+        # on it.  The group's decrypt pads are batched afterwards.
+        fetched = []
+        for addr in addrs:
+            fetched.append(self._fetch(port, addr, line_size))
             for i in range(1, self.pad_ahead_depth + 1):
                 self._cache_pad(addr + i * line_size)
-        return out
+        return self._decipher(addrs, fetched)
 
     def write_partial(self, port: MemoryPort, addr: int, data: bytes,
                       line_size: int) -> int:
@@ -246,29 +215,10 @@ class StreamCipherEngine(BusEncryptionEngine):
         # Secure partial write: the fresh version re-keys the whole line, so
         # the untouched bytes must be re-enciphered too — a full-line
         # read-modify-write despite the byte-granular cipher.
-        start = addr - addr % line_size
-        end = -(-(addr + len(data)) // line_size) * line_size
-        self.stats.rmw_operations += 1
-        self._emit("rmw", addr, end - start)
-        self._emit("decipher", start, end - start)
-        self._emit("encipher", start, end - start)
-        ciphertext, read_cycles = port.read(start, end - start)
-        dec_extra = self.read_extra_cycles(start, end - start, read_cycles)
-        block = bytearray(
-            self.decrypt_line(start, ciphertext) if self.functional
-            else ciphertext
+        return self._read_modify_write(
+            port, addr, data, addr - addr % line_size,
+            -(-(addr + len(data)) // line_size) * line_size,
         )
-        block[addr - start: addr - start + len(data)] = data
-        enc_extra = self.write_extra_cycles(start, end - start)
-        self.stats.extra_read_cycles += dec_extra
-        self.stats.extra_write_cycles += enc_extra
-        if dec_extra + enc_extra:
-            self._emit("stall", addr, dec_extra + enc_extra, "rmw")
-        new_ct = (
-            self.encrypt_line(start, bytes(block)) if self.functional
-            else bytes(block)
-        )
-        return read_cycles + dec_extra + enc_extra + port.write(start, new_ct)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

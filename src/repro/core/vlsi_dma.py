@@ -21,7 +21,7 @@ poor locality — the patent's trade.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from ..crypto.kernels import tdes_kernel
 from ..crypto.modes import CBC
@@ -185,11 +185,14 @@ class VlsiDmaEngine(BusEncryptionEngine):
 
     # -- system entry points -------------------------------------------------
 
-    def fill_line(self, port: MemoryPort, addr: int, line_size: int
-                  ) -> Tuple[bytes, int]:
-        page, offset, cycles = self._resident(port, addr)
-        cycles += self.sram_latency
-        return bytes(page.data[offset: offset + line_size]), cycles
+    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
+                   line_size: int) -> List[Tuple[bytes, int]]:
+        out: List[Tuple[bytes, int]] = []
+        for addr in addrs:
+            page, offset, cycles = self._resident(port, addr)
+            cycles += self.sram_latency
+            out.append((bytes(page.data[offset: offset + line_size]), cycles))
+        return out
 
     def write_line(self, port: MemoryPort, addr: int, plaintext: bytes) -> int:
         page, offset, cycles = self._resident(port, addr)

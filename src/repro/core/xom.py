@@ -16,13 +16,13 @@ system cost".
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List
 
 from ..crypto.kernels import aes_kernel
 from ..crypto.modes import xor_bytes
 from ..sim.area import AreaEstimate
 from ..sim.pipeline import XOM_AES_PIPE, PipelinedUnit
-from .engine import BlockModeEngine, MemoryPort
+from .engine import BlockModeEngine
 
 __all__ = ["XomAesEngine"]
 
@@ -71,63 +71,37 @@ class XomAesEngine(BlockModeEngine):
             self._aes.decrypt_blocks(xor_bytes(ciphertext, masks)), masks
         )
 
-    def encrypt_lines(self, items):
-        # XEX is ECB over independent blocks: the whole install batch
-        # enciphers in two kernel calls (masks, then blocks).
-        if not items or any(len(line) % 16 for _, line in items):
-            return super().encrypt_lines(items)
+    def _xex_lines(self, items, blocks, line_fn) -> List[bytes]:
+        """XEX-transform ``(addr, data)`` lines through the AES batch
+        ``blocks`` (encrypt or decrypt).
+
+        XEX is ECB over independent blocks, so the whole batch costs two
+        kernel calls (masks, then blocks).  Widths that are not whole
+        AES blocks fall back to the per-line ``line_fn``.
+        """
+        if not items or any(len(data) % 16 for _, data in items):
+            return [line_fn(addr, data) for addr, data in items]
         material = b"".join(
             (addr + i).to_bytes(16, "big")
-            for addr, line in items for i in range(0, len(line), 16)
+            for addr, data in items for i in range(0, len(data), 16)
         )
         masks = self._tweak_aes.encrypt_blocks(material)
-        plain = b"".join(line for _, line in items)
-        ct = xor_bytes(
-            self._aes.encrypt_blocks(xor_bytes(plain, masks)), masks
-        )
+        joined = b"".join(data for _, data in items)
+        transformed = xor_bytes(blocks(xor_bytes(joined, masks)), masks)
         out: List[bytes] = []
         pos = 0
-        for _, line in items:
-            out.append(ct[pos: pos + len(line)])
-            pos += len(line)
+        for _, data in items:
+            out.append(transformed[pos: pos + len(data)])
+            pos += len(data)
         return out
 
-    def fill_lines(self, port: MemoryPort, addrs: Sequence[int],
-                   line_size: int) -> List[Tuple[bytes, int]]:
-        # XEX masking is ECB over independent blocks, so the whole group
-        # deciphers in two kernel calls (masks, then blocks) instead of
-        # two per line.  Bus reads, stats and events stay per-line and in
-        # order — see the fill_lines contract.
-        if self.functional and line_size % 16:
-            return super().fill_lines(port, addrs, line_size)
-        ciphertexts: List[bytes] = []
-        cycles: List[int] = []
-        for addr in addrs:
-            ciphertext, mem_cycles = port.read(addr, line_size)
-            extra = self.read_extra_cycles(addr, line_size, mem_cycles)
-            self.stats.lines_decrypted += 1
-            self.stats.extra_read_cycles += extra
-            if self.sink is not None:
-                self._emit("decipher", addr, line_size)
-                if extra:
-                    self._emit("stall", addr, extra, "read")
-            ciphertexts.append(ciphertext)
-            cycles.append(mem_cycles + extra)
-        if not self.functional:
-            return list(zip(ciphertexts, cycles))
-        material = b"".join(
-            (addr + i).to_bytes(16, "big")
-            for addr in addrs for i in range(0, line_size, 16)
-        )
-        masks = self._tweak_aes.encrypt_blocks(material)
-        plain = xor_bytes(
-            self._aes.decrypt_blocks(xor_bytes(b"".join(ciphertexts), masks)),
-            masks,
-        )
-        return [
-            (plain[i * line_size: (i + 1) * line_size], cycles[i])
-            for i in range(len(addrs))
-        ]
+    def encrypt_lines(self, items):
+        return self._xex_lines(items, self._aes.encrypt_blocks,
+                               self.encrypt_line)
+
+    def decrypt_lines(self, items):
+        return self._xex_lines(items, self._aes.decrypt_blocks,
+                               self.decrypt_line)
 
     def area(self) -> AreaEstimate:
         est = AreaEstimate(self.name)

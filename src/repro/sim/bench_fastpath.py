@@ -15,9 +15,10 @@ Three modes:
     :class:`~repro.sim.system.SimReport`, identical
     :class:`~repro.obs.CounterSink` aggregate totals, and an identical
     bus transaction stream — same (op, addr, payload) tuples in the same
-    order.  Exits non-zero on the first divergence.  ``--check`` with no
-    engine names checks the plaintext baseline plus every registry
-    engine.
+    order.  Every named engine is checked twice, functional and timing-only
+    (``functional=False``).  Exits non-zero on the first divergence.
+    ``--check`` with no engine names checks the plaintext baseline plus
+    every registry engine.
 
 ``python -m repro.sim.bench_fastpath --vector``
     Per-backend timing of the streamed dma-burst workload: one child
@@ -90,9 +91,10 @@ def make_bench_trace(n: int, seed: int = 2005,
     return out
 
 
-def _build(name: Optional[str], sink=None) -> SecureSystem:
+def _build(name: Optional[str], sink=None,
+           functional: bool = True) -> SecureSystem:
     system = SecureSystem(
-        engine=make_engine(name) if name else None,
+        engine=make_engine(name, functional=functional) if name else None,
         cache_config=CacheConfig(size=1024, line_size=32, associativity=2),
         mem_config=MemoryConfig(size=1 << 21),
         sink=sink,
@@ -101,10 +103,11 @@ def _build(name: Optional[str], sink=None) -> SecureSystem:
     return system
 
 
-def _run(name: Optional[str], trace, reference: bool
+def _run(name: Optional[str], trace, reference: bool,
+         functional: bool = True
          ) -> Tuple[SimReport, CounterSink, List[Tuple[str, int, bytes]]]:
     sink = CounterSink()
-    system = _build(name, sink=sink)
+    system = _build(name, sink=sink, functional=functional)
     transactions: List[Tuple[str, int, bytes]] = []
     system.bus.attach_probe(
         lambda txn: transactions.append((txn.op, txn.addr, txn.data))
@@ -115,19 +118,24 @@ def _run(name: Optional[str], trace, reference: bool
 
 
 def differential(name: Optional[str], n: int = 2000,
-                 chunk: Optional[int] = None) -> List[str]:
+                 chunk: Optional[int] = None,
+                 functional: bool = True) -> List[str]:
     """Compare reference vs fast path for one engine; returns mismatches.
 
     With ``chunk`` set, the fast path consumes the trace as a replayable
     :class:`~repro.traces.stream.TraceStream` of that chunk size instead
     of the materialized list — the chunked-vs-whole equality gate.
+    ``functional=False`` builds the engine timing-only, so the fill and
+    write paths skip the byte transforms.
     """
     trace = make_bench_trace(n, fetch_only=name == "compress")
-    ref_report, ref_sink, ref_bus = _run(name, trace, reference=True)
+    ref_report, ref_sink, ref_bus = _run(name, trace, reference=True,
+                                         functional=functional)
     fast_trace = (trace if chunk is None
                   else TraceStream(lambda: chunked(trace, chunk), length=n))
     fast_report, fast_sink, fast_bus = _run(name, fast_trace,
-                                            reference=False)
+                                            reference=False,
+                                            functional=functional)
     problems: List[str] = []
     for field in ref_report.__dataclass_fields__:
         a, b = getattr(ref_report, field), getattr(fast_report, field)
@@ -157,10 +165,13 @@ def _check(names: Sequence[str], n: int) -> int:
     targets: List[Optional[str]] = (
         list(names) if names else [None] + engine_names()
     )
+    runs = [(name, True) for name in targets] + [
+        (name, False) for name in targets if name is not None
+    ]
     failed = 0
-    for name in targets:
-        problems = differential(name, n=n)
-        label = name or "baseline"
+    for name, functional in runs:
+        problems = differential(name, n=n, functional=functional)
+        label = (name or "baseline") + ("" if functional else " timing-only")
         if problems:
             failed += 1
             _say(f"FAIL {label}")
@@ -171,7 +182,7 @@ def _check(names: Sequence[str], n: int) -> int:
     if failed:
         _say(f"fastpath check: {failed} engine(s) diverged")
     else:
-        _say(f"fastpath check: {len(targets)} configuration(s) identical")
+        _say(f"fastpath check: {len(runs)} configuration(s) identical")
     return 1 if failed else 0
 
 

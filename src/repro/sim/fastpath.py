@@ -36,10 +36,9 @@ Equivalence contract (pinned by ``tests/test_fastpath.py`` and
   event *interleaving and stamps* are the one relaxation.
 
 With observability disabled the hot loop constructs zero
-:class:`~repro.obs.TraceEvent` objects.  Engines that override
-``notify_access`` (none in the registry do) fall back to the scalar
-per-access loop, as does the explicit reference path
-:meth:`~repro.sim.system.SecureSystem.run_reference`.
+:class:`~repro.obs.TraceEvent` objects.  The explicit reference path
+:meth:`~repro.sim.system.SecureSystem.run_reference` keeps the scalar
+per-access loop.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from __future__ import annotations
 from typing import Iterator, List, Tuple, Union
 
 from .. import backend as _backend
-from ..core.engine import BusEncryptionEngine, Placement
+from ..core.engine import Placement
 from ..obs import TraceEvent
 from ..traces.arrays import KIND_BY_CODE, KIND_CODES, ArrayChunk
 from ..traces.stream import TraceStream
@@ -311,11 +310,8 @@ def execute(system, trace: Union[Trace, CompiledTrace, TraceStream,
     byte-identical to the materialized path at any chunk size.
     """
     engine = system.engine
-    if type(engine).notify_access is not BusEncryptionEngine.notify_access \
-            or _backend.ACTIVE == "python":
-        # A prefetcher-style hook needs the per-access callback; take the
-        # scalar path rather than risk starving it.  The backend ladder's
-        # python rung (REPRO_BACKEND=python) also lands here: it is the
+    if _backend.ACTIVE == "python":
+        # The backend ladder's python rung (REPRO_BACKEND=python) is the
         # algebraic-reference configuration, so every access walks the
         # original per-access machinery.
         for access in trace:

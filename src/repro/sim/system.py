@@ -186,7 +186,6 @@ class SecureSystem:
                 kind="access", addr=access.addr, size=access.size,
                 cycle=self.cycles, detail=access.kind.name.lower(),
             ))
-        engine.notify_access(access.addr, access.kind is AccessKind.FETCH)
 
         if engine.placement is Placement.CPU_CACHE:
             self.cycles += engine.per_access_cycles()
@@ -261,13 +260,12 @@ class SecureSystem:
     def flush(self) -> None:
         """Write back all dirty lines (end-of-run barrier)."""
         line_size = self.cache.config.line_size
-        writes = []
         for addr in self.cache.flush():
             data = self._line_data.get(addr // line_size)
-            writes.append(
-                (addr, bytes(data) if data is not None else bytes(line_size))
+            cycles = self.engine.write_line(
+                self.port, addr,
+                bytes(data) if data is not None else bytes(line_size),
             )
-        for cycles in self.engine.spill_lines(self.port, writes):
             if not self.write_buffer:
                 self.cycles += cycles
         self._line_data.clear()

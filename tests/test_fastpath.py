@@ -74,10 +74,42 @@ def _run_one(system, trace, path):
 class TestEngineDifferential:
     """Every registered engine: scalar and batched runs are identical."""
 
-    @pytest.mark.parametrize("name", [None] + engine_names(),
-                             ids=lambda n: n or "baseline")
-    def test_reference_vs_fast(self, name):
-        assert differential(name, n=1200) == []
+    @pytest.mark.parametrize("name, functional", [
+        pytest.param(None, True, id="baseline"),
+        *(pytest.param(n, True, id=n) for n in engine_names()),
+        *(pytest.param(n, False, id=f"{n}-timing-only")
+          for n in engine_names()),
+    ])
+    def test_reference_vs_fast(self, name, functional):
+        """``functional=False`` is the timing-only fill and write path
+        (e.g. the xom dma-burst stream runs)."""
+        assert differential(name, n=1200, functional=functional) == []
+
+    @pytest.mark.parametrize("functional", [True, False],
+                             ids=["functional", "timing-only"])
+    @pytest.mark.parametrize("name", engine_names())
+    def test_group_fill_matches_single_fills(self, name, functional):
+        """One ``fill_lines`` group equals the same lines filled one at a
+        time: plaintexts, cycles, stats, verdicts and bus stream.  The
+        group holds sequential runs, a jump and revisits, the order that
+        pad-ahead, chain continuation and page buffers depend on (the
+        random bench trace rarely puts neighbours in one group)."""
+        group = [0, 32, 64, 96, 128, 1024, 1056, 0, 32, 4096, 4128]
+        runs = []
+        for grouped in (True, False):
+            system = bench_fastpath._build(name, functional=functional)
+            bus = []
+            system.bus.attach_probe(
+                lambda txn: bus.append((txn.op, txn.addr, txn.data)))
+            engine = system.engine
+            if grouped:
+                filled = engine.fill_lines(system.port, group, LINE)
+            else:
+                filled = [engine.fill_line(system.port, addr, LINE)
+                          for addr in group]
+            runs.append((filled, vars(engine.stats), vars(engine.verdicts),
+                         bus))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("name", [None, "stream", "xom", "aegis"],
                              ids=lambda n: n or "baseline")

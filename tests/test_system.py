@@ -165,19 +165,32 @@ class TestOverheadHelpers:
         assert report.overhead_vs(report) == 0.0
 
 
-# -- bulk install encryption (engine.encrypt_lines) -------------------------
+# -- batch transforms (engine.encrypt_lines / engine.decrypt_lines) ---------
 
+from repro.core import BusEncryptionEngine, CpuCacheStreamEngine
 from repro.core.registry import engine_names, make_engine
 from repro.crypto.drbg import DRBG as _DRBG
 
+#: gi/vlsi are region/page granular and raise on encrypt_line; their
+#: installs and fills are covered by their own test modules.
+_LINE_ENGINES = [n for n in engine_names() if n not in ("gi", "vlsi")]
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
 
 class TestEncryptLinesBulk:
-    """encrypt_lines must equal the scalar per-line loop, state included.
+    """The batch transforms must equal the scalar per-line loop.
 
-    Engines with batched overrides (xom, ds5240, stream, aegis) advance
-    per-line state (versions, vectors) during installation; running the
-    bulk call on one instance and the scalar loop on a twin pins both
-    the ciphertext and the state evolution.
+    Engines with batched ``encrypt_lines`` overrides (xom, ds5240, stream,
+    aegis) advance per-line state (versions, vectors) during
+    installation; running the bulk call on one instance and the scalar
+    loop on a twin pins both the ciphertext and the state evolution.
+    ``decrypt_lines`` is the fill-time dual and must equal the
+    ``decrypt_line`` loop; ``fill_lines`` is the only fill hook.
     """
 
     def _items(self, n=40, line=32):
@@ -185,13 +198,8 @@ class TestEncryptLinesBulk:
         return [(0x400 + i * line, rng.random_bytes(line))
                 for i in range(n)]
 
-    @pytest.mark.parametrize(
-        "name",
-        [n for n in engine_names() if n not in ("gi", "vlsi")],
-    )
+    @pytest.mark.parametrize("name", _LINE_ENGINES)
     def test_bulk_matches_scalar(self, name):
-        # gi/vlsi are region/page granular and raise on encrypt_line;
-        # their installs are covered by their own test modules.
         items = self._items()
         bulk = make_engine(name).encrypt_lines(items)
         scalar_engine = make_engine(name)
@@ -199,10 +207,50 @@ class TestEncryptLinesBulk:
                   for addr, line in items]
         assert bulk == scalar
 
+    @pytest.mark.parametrize("name", _LINE_ENGINES + ["cpu-cache-stream"])
+    def test_decrypt_lines_matches_scalar_and_round_trips(self, name):
+        engine = (CpuCacheStreamEngine(KEY) if name == "cpu-cache-stream"
+                  else make_engine(name))
+        items = self._items()
+        pairs = [(addr, ct) for (addr, _), ct
+                 in zip(items, engine.encrypt_lines(items))]
+        bulk = engine.decrypt_lines(pairs)
+        assert bulk == [engine.decrypt_line(addr, ct) for addr, ct in pairs]
+        assert bulk == [line for _, line in items]
+
     def test_bulk_falls_back_on_ragged_widths(self):
         engine = make_engine("xom")
         items = [(0x4000, bytes(32)), (0x4020, bytes(16))]
         twin = make_engine("xom")
-        assert engine.encrypt_lines(items) == [
+        ciphertexts = engine.encrypt_lines(items)
+        assert ciphertexts == [
             twin.encrypt_line(addr, line) for addr, line in items
         ]
+        pairs = [(addr, ct) for (addr, _), ct in zip(items, ciphertexts)]
+        assert engine.decrypt_lines(pairs) == [
+            twin.decrypt_line(addr, ct) for addr, ct in pairs
+        ] == [line for _, line in items]
+
+    @pytest.mark.parametrize("name", ["xom", "aegis"])
+    def test_non_block_widths_fail_like_the_scalar_path(self, name):
+        # A line that is not a whole number of AES blocks takes the
+        # per-line fallback, so the batch raises the per-line error
+        # instead of deciphering misaligned blocks.
+        engine = make_engine(name)
+        items = [(0x4000, bytes(32)), (0x4020, bytes(20))]
+        for bulk, scalar in ((engine.encrypt_lines, engine.encrypt_line),
+                             (engine.decrypt_lines, engine.decrypt_line)):
+            with pytest.raises(ValueError) as bulk_error:
+                bulk(items)
+            with pytest.raises(ValueError) as scalar_error:
+                scalar(*items[1])
+            assert str(bulk_error.value) == str(scalar_error.value)
+
+    def test_fill_lines_is_the_only_fill_hook(self):
+        retired = ("fill_line", "spill_lines", "notify_access")
+        overrides = [
+            (cls.__name__, hook)
+            for cls in _all_subclasses(BusEncryptionEngine)
+            for hook in retired if hook in vars(cls)
+        ]
+        assert overrides == []
