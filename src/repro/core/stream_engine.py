@@ -14,7 +14,11 @@ produced *before* the data arrives):
   with the memory fetch (cost only the amount by which pad generation
   exceeds the fetch, usually zero — the survey's parallelism argument).
 * After each fill the engine precomputes pads for the next
-  ``pad_ahead_depth`` sequential lines.
+  ``pad_ahead_depth`` sequential lines.  The pad cache is a timing and
+  membership model: it records which line addresses have a pad on chip
+  (hit/miss stats and cycles follow from that), while the functional
+  decrypt regenerates every pad from the seekable keystream, so pad-ahead
+  itself costs no cipher work.
 * Writes need a *fresh* pad (never reuse keystream): each line carries a
   version counter mixed into the CTR tweak.  ``reuse_pad_on_partial_write``
   (default off) models the tempting-but-broken shortcut of patching bytes
@@ -67,8 +71,10 @@ class StreamCipherEngine(BusEncryptionEngine):
         self.pad_cache_lines = pad_cache_lines
         self.pad_ahead_depth = pad_ahead_depth
         self.reuse_pad_on_partial_write = reuse_pad_on_partial_write
-        # Pad cache: line address -> precomputed pad bytes (LRU).
-        self._pad_cache: "OrderedDict[int, bytes]" = OrderedDict()
+        # Pad cache: the line addresses whose pads are on chip (LRU).  Only
+        # membership sets the timing, and every decrypt regenerates its
+        # pad, so no pad bytes are kept.
+        self._pad_cache: "OrderedDict[int, None]" = OrderedDict()
         # Per-line write version, mixed into the keystream tweak.
         self._versions: Dict[int, int] = {}
 
@@ -113,8 +119,7 @@ class StreamCipherEngine(BusEncryptionEngine):
         if line_addr in self._pad_cache:
             self._pad_cache.move_to_end(line_addr)
             return
-        pad = self._pad(line_addr, self.line_size) if self.functional else b""
-        self._pad_cache[line_addr] = pad
+        self._pad_cache[line_addr] = None
         while len(self._pad_cache) > self.pad_cache_lines:
             self._pad_cache.popitem(last=False)
 

@@ -5,9 +5,12 @@ Run as ``python -m repro.crypto.bench_kernels``.  Two jobs:
 1. **Equivalence**: every kernel is checked bit-for-bit against its
    reference cipher on random blocks (encrypt and decrypt, every key
    size).  Any mismatch makes the process exit non-zero, which is what
-   ``make kernels-smoke`` relies on.
-2. **Timing**: per-block throughput of the reference loop vs the batched
-   kernel path, reported as a small table with the speedup factor.
+   ``make kernels-smoke`` relies on; the narrow widths and the CBC chain
+   are swept by ``tests/test_kernels.py``, which that target runs first.
+2. **Timing**: the reference loop vs the kernel in three call shapes —
+   one wide batch, 4-block calls (the per-line miss shape of the bus
+   engines) and a serial CBC chain — reported as a small table with the
+   speedup factor.
 
 ``--quick`` shrinks both jobs to a CI-friendly sanity run.
 """
@@ -22,7 +25,7 @@ from typing import Callable, List, Tuple
 
 from .aes import AES
 from .des import DES, TripleDES
-from .kernels import AESKernel, DESKernel, TripleDESKernel
+from .kernels import AESKernel, DESKernel, TripleDESKernel, _cbc_chain
 
 _CASES: List[Tuple[str, int, Callable, Callable]] = [
     ("aes-128", 16, lambda k: AES(k), lambda k: AESKernel(k)),
@@ -67,7 +70,7 @@ def _throughput(crypt: Callable[[], object], repeats: int) -> float:
 
 
 def bench(nblocks: int, repeats: int = 3) -> List[dict]:
-    """Reference-loop vs kernel-batch timing; returns one row per cipher."""
+    """Reference loop vs kernel; three rows (call shapes) per cipher."""
     rows = []
     rng = random.Random(0xBE7C)
     for name, key_len, make_ref, make_kernel in _CASES:
@@ -76,6 +79,8 @@ def bench(nblocks: int, repeats: int = 3) -> List[dict]:
         kernel = make_kernel(key)
         size = ref.block_size
         data = bytes(rng.randrange(256) for _ in range(size * nblocks))
+        iv = bytes(size)
+        narrow = 4 * size
 
         def ref_loop():
             return b"".join(
@@ -83,15 +88,25 @@ def bench(nblocks: int, repeats: int = 3) -> List[dict]:
                 for i in range(0, len(data), size)
             )
 
-        ref_s = _throughput(ref_loop, repeats)
-        kern_s = _throughput(lambda: kernel.encrypt_blocks(data), repeats)
-        rows.append({
-            "cipher": name,
-            "blocks": nblocks,
-            "reference_s": round(ref_s, 4),
-            "kernel_s": round(kern_s, 4),
-            "speedup": round(ref_s / kern_s, 1) if kern_s else float("inf"),
-        })
+        ecb_ref_s = _throughput(ref_loop, repeats)
+        for shape, ref_s, run in (
+            ("batch", ecb_ref_s, lambda: kernel.encrypt_blocks(data)),
+            ("narrow-4", ecb_ref_s, lambda: [
+                kernel.encrypt_blocks(data[i: i + narrow])
+                for i in range(0, len(data), narrow)]),
+            ("cbc", _throughput(lambda: _cbc_chain(ref, iv, data), repeats),
+             lambda: kernel.cbc_encrypt(iv, data)),
+        ):
+            kern_s = _throughput(run, repeats)
+            rows.append({
+                "cipher": name,
+                "shape": shape,
+                "blocks": nblocks,
+                "reference_s": round(ref_s, 4),
+                "kernel_s": round(kern_s, 4),
+                "speedup": (round(ref_s / kern_s, 1) if kern_s
+                            else float("inf")),
+            })
     return rows
 
 
@@ -119,10 +134,10 @@ def main(argv=None) -> int:
     print(f"equivalence: ok ({len(_CASES)} ciphers x "
           f"{args.check_blocks} random blocks, encrypt+decrypt)")
 
-    print(f"{'cipher':<10} {'blocks':>7} {'reference':>10} "
+    print(f"{'cipher':<10} {'shape':<9} {'blocks':>7} {'reference':>10} "
           f"{'kernel':>9} {'speedup':>8}")
     for row in bench(args.blocks):
-        print(f"{row['cipher']:<10} {row['blocks']:>7} "
+        print(f"{row['cipher']:<10} {row['shape']:<9} {row['blocks']:>7} "
               f"{row['reference_s']:>9.4f}s {row['kernel_s']:>8.4f}s "
               f"{row['speedup']:>7.1f}x")
     return 0

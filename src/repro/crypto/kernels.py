@@ -12,10 +12,14 @@ analogues, and this module applies them to the reference implementations in
   lookups and 20 XORs instead of per-byte GF(2^8) arithmetic.  The tables
   are *derived* from the algebraically constructed ``SBOX``/``gf_mul`` of
   the reference module, so the existing S-box tests cover them.
-* :class:`DESKernel` / :class:`TripleDESKernel` — bit-packed rounds: the
-  IP/FP/E permutations become per-byte scatter tables and the eight S-boxes
-  fuse with the P permutation into ``SP`` tables.  3DES additionally skips
-  the interior FP∘IP pairs, which cancel algebraically.
+* :class:`DESKernel` / :class:`TripleDESKernel` — bit-packed rounds: IP
+  and FP become per-byte scatter tables, each half is kept rotated left by
+  5 and widened to 36 bits so the E expansion is a mask, and the eight
+  S-boxes fuse with the P permutation, in pairs, into four tables indexed
+  by two 6-bit chunks at once — 4 lookups per round.  3DES is the same
+  kernel with three passes per block, skipping the interior FP∘IP pairs,
+  which cancel algebraically; the numpy rung gathers from the same
+  tables with the same schedules.
 * a **key-schedule registry** (:func:`aes_kernel`, :func:`des_kernel`,
   :func:`tdes_kernel`) memoizing kernels by raw key bytes, so campaign
   scripts that rebuild engines dozens of times reuse one expanded schedule;
@@ -23,7 +27,10 @@ analogues, and this module applies them to the reference implementations in
   kernel, the :func:`encrypt_blocks`/:func:`decrypt_blocks` dispatch
   helpers that fall back to per-block loops for exotic ciphers, and
   :func:`ctr_pad` producing a whole line's keystream in one call — the
-  miss-path shape the engines in :mod:`repro.core` use.
+  miss-path shape the engines in :mod:`repro.core` use;
+* **in-kernel CBC** — :meth:`cbc_encrypt` on every kernel and the
+  :func:`cbc_encrypt` dispatch helper run the serial chain inside one
+  call, the previous ciphertext block kept as an int.
 
 Every kernel is bit-for-bit equivalent to its reference cipher; the
 equivalence layer in ``tests/test_kernels.py`` proves it on the FIPS-197 /
@@ -40,14 +47,13 @@ True
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .. import backend as _backend
 from .aes import AES, INV_SBOX, SBOX, gf_mul
 from .des import (
     DES,
     TripleDES,
-    _E,
     _FP,
     _IP,
     _P,
@@ -59,7 +65,7 @@ from .des import (
 __all__ = [
     "AESKernel", "DESKernel", "TripleDESKernel",
     "aes_kernel", "des_kernel", "tdes_kernel",
-    "kernel_for", "encrypt_blocks", "decrypt_blocks", "ctr_pad",
+    "kernel_for", "encrypt_blocks", "decrypt_blocks", "cbc_encrypt", "ctr_pad",
     "NUMPY_BACKED",
 ]
 
@@ -118,6 +124,13 @@ def _inv_mix_word(word: int) -> int:
 
 def _rotr32(x: int, n: int) -> int:
     return ((x >> n) | (x << (32 - n))) & 0xFFFFFFFF
+
+
+def _iv_int(iv: bytes, size: int) -> int:
+    """A CBC IV as the int a kernel's chain starts from."""
+    if len(iv) != size:
+        raise ValueError(f"IV must be {size} bytes, got {len(iv)}")
+    return int.from_bytes(iv, "big")
 
 
 class AESKernel:
@@ -182,7 +195,12 @@ class AESKernel:
             return _np_aes_crypt(self, data, encrypt=False)
         return self._decrypt_blocks_scalar(data)
 
-    def _encrypt_blocks_scalar(self, data: bytes) -> bytes:
+    def cbc_encrypt(self, iv: bytes, data: bytes) -> bytes:
+        """CBC-encrypt ``data``, the chain carried as an int."""
+        return self._encrypt_blocks_scalar(data, _iv_int(iv, 16))
+
+    def _encrypt_blocks_scalar(self, data: bytes,
+                               chain: Optional[int] = None) -> bytes:
         if len(data) % 16:
             raise ValueError(
                 f"data length {len(data)} is not a multiple of block size 16"
@@ -193,10 +211,13 @@ class AESKernel:
         rounds = self._rounds
         out = bytearray(len(data))
         for base in range(0, len(data), 16):
-            w0 = int.from_bytes(data[base: base + 4], "big") ^ ek[0]
-            w1 = int.from_bytes(data[base + 4: base + 8], "big") ^ ek[1]
-            w2 = int.from_bytes(data[base + 8: base + 12], "big") ^ ek[2]
-            w3 = int.from_bytes(data[base + 12: base + 16], "big") ^ ek[3]
+            v = int.from_bytes(data[base: base + 16], "big")
+            if chain is not None:
+                v ^= chain
+            w0 = (v >> 96) ^ ek[0]
+            w1 = ((v >> 64) & 0xFFFFFFFF) ^ ek[1]
+            w2 = ((v >> 32) & 0xFFFFFFFF) ^ ek[2]
+            w3 = (v & 0xFFFFFFFF) ^ ek[3]
             k = 4
             for _ in range(rounds - 1):
                 n0 = (t0[w0 >> 24] ^ t1[(w1 >> 16) & 0xFF]
@@ -218,9 +239,10 @@ class AESKernel:
                   | (sbox[(w0 >> 8) & 0xFF] << 8) | sbox[w1 & 0xFF]) ^ ek[k + 2]
             o3 = ((sbox[w3 >> 24] << 24) | (sbox[(w0 >> 16) & 0xFF] << 16)
                   | (sbox[(w1 >> 8) & 0xFF] << 8) | sbox[w2 & 0xFF]) ^ ek[k + 3]
-            out[base: base + 16] = (
-                (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
-            ).to_bytes(16, "big")
+            v = (o0 << 96) | (o1 << 64) | (o2 << 32) | o3
+            if chain is not None:
+                chain = v
+            out[base: base + 16] = v.to_bytes(16, "big")
         return bytes(out)
 
     def _decrypt_blocks_scalar(self, data: bytes) -> bytes:
@@ -277,8 +299,15 @@ class AESKernel:
 
 
 # ---------------------------------------------------------------------------
-# DES: per-byte scatter tables for IP/FP/E, fused S-box+P tables.  All
+# DES: per-byte scatter tables for IP/FP and four paired S-box+P tables, all
 # derived from the FIPS tables (and `_permute` itself) in repro.crypto.des.
+#
+# Between IP and FP each 32-bit half is kept rotated left by 5 and widened
+# to 36 bits, bits 32-35 mirroring bits 0-3.  In that layout the E
+# expansion is free: E chunks 0, 6, 4, 2 sit at bit offsets 0, 8, 16, 24
+# and chunks 7, 5, 3, 1 at offsets 4, 12, 20, 28, so XORing the half with
+# a round key split into two words of that shape and masking with 0x3F3F
+# yields the table index of two S-boxes at once.  A round is 4 lookups.
 # ---------------------------------------------------------------------------
 
 def _scatter_tables(table, in_width: int) -> List[List[int]]:
@@ -296,54 +325,121 @@ def _scatter_tables(table, in_width: int) -> List[List[int]]:
     return tabs
 
 
-_IP_TAB = _scatter_tables(_IP, 64)
-_FP_TAB = _scatter_tables(_FP, 64)
-_E_TAB = _scatter_tables(_E, 32)
-
-# SP[i][chunk]: S-box i applied to a 6-bit chunk, its 4-bit output placed
-# in nibble i, then run through the P permutation — the whole second half
-# of the round function as one lookup.
-_SP: List[List[int]] = []
-for _i in range(8):
-    _tab = [0] * 64
-    for _chunk in range(64):
-        _row = ((_chunk & 0x20) >> 4) | (_chunk & 1)
-        _col = (_chunk >> 1) & 0xF
-        _tab[_chunk] = _permute(
-            _SBOXES[_i][_row][_col] << (28 - 4 * _i), 32, _P
-        )
-    _SP.append(_tab)
-del _i, _tab, _chunk, _row, _col
+def _widen(half: int) -> int:
+    """A 32-bit half in the round layout: rotated left 5, bits 0-3 mirrored
+    into bits 32-35."""
+    half = ((half << 5) | (half >> 27)) & 0xFFFFFFFF
+    return half | (half & 0xF) << 32
 
 
-def _perm64(v: int, tabs: List[List[int]]) -> int:
-    return (
-        tabs[0][(v >> 56) & 0xFF] | tabs[1][(v >> 48) & 0xFF]
-        | tabs[2][(v >> 40) & 0xFF] | tabs[3][(v >> 32) & 0xFF]
-        | tabs[4][(v >> 24) & 0xFF] | tabs[5][(v >> 16) & 0xFF]
-        | tabs[6][(v >> 8) & 0xFF] | tabs[7][v & 0xFF]
-    )
+#: (low, high) S-box of each paired table, in the order the rounds index
+#: them: ``u & 0x3F3F``, ``(u >> 16) & 0x3F3F``, ``(t >> 4) & 0x3F3F``,
+#: ``(t >> 20) & 0x3F3F``.
+_SP_PAIRS = ((0, 6), (4, 2), (7, 5), (3, 1))
 
 
-def _des_rounds(value: int, round_keys) -> int:
-    """16 Feistel rounds (incl. the final half swap), no IP/FP.
+def _build_des_tables() -> Tuple[List[List[int]], List[List[int]],
+                                 Tuple[List[int], ...]]:
+    # Position p (0-based, MSB first) of a rotated half holds bit
+    # (p + 5) % 32 of the plain half; ``unrot`` maps the other way.
+    rot = [h + (p + 5) % 32 for h in (0, 32) for p in range(32)]
+    unrot = [h + (p - 5) % 32 for h in (0, 32) for p in range(32)]
+    ip = _scatter_tables([_IP[i] for i in rot], 64)
+    fp = _scatter_tables([unrot[i - 1] + 1 for i in _FP], 64)
+    # sp[i][chunk]: S-box i applied to a 6-bit chunk, its 4-bit output
+    # placed in nibble i, then run through P — the whole second half of
+    # the round function, widened to the round layout.
+    sp = []
+    for i in range(8):
+        tab = []
+        for chunk in range(64):
+            row = ((chunk & 0x20) >> 4) | (chunk & 1)
+            col = (chunk >> 1) & 0xF
+            tab.append(_widen(_permute(
+                _SBOXES[i][row][col] << (28 - 4 * i), 32, _P)))
+        sp.append(tab)
+    pairs = []
+    for lo, hi in _SP_PAIRS:
+        tab = [0] * 0x3F40   # sparse: bits 6-7 of either index byte unused
+        # Two 4-bit S-box outputs give at most 256 distinct entries; share
+        # one int object per value.
+        values = {}
+        for b, high in enumerate(sp[hi]):
+            for a, low in enumerate(sp[lo]):
+                value = low ^ high
+                tab[(b << 8) | a] = values.setdefault(value, value)
+        pairs.append(tab)
+    return ip, fp, tuple(pairs)
 
-    Input and output are in post-IP bit order, so passes compose directly
-    — which is how :class:`TripleDESKernel` drops the interior FP∘IP pairs.
-    """
-    e0, e1, e2, e3 = _E_TAB
-    sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP
-    left = (value >> 32) & 0xFFFFFFFF
-    right = value & 0xFFFFFFFF
+
+_IP_TAB, _FP_TAB, _SP2 = _build_des_tables()
+
+
+def _des_pass(round_keys) -> Tuple[Tuple[int, int, int, int], ...]:
+    """One 16-round pass: each 48-bit round key split into the two round
+    layout words, grouped as two rounds per entry."""
+    words = []
     for key in round_keys:
-        x = (e0[right >> 24] | e1[(right >> 16) & 0xFF]
-             | e2[(right >> 8) & 0xFF] | e3[right & 0xFF]) ^ key
-        f = (sp0[(x >> 42) & 0x3F] ^ sp1[(x >> 36) & 0x3F]
-             ^ sp2[(x >> 30) & 0x3F] ^ sp3[(x >> 24) & 0x3F]
-             ^ sp4[(x >> 18) & 0x3F] ^ sp5[(x >> 12) & 0x3F]
-             ^ sp6[(x >> 6) & 0x3F] ^ sp7[x & 0x3F])
-        left, right = right, left ^ f
-    return (right << 32) | left
+        c = [(key >> (42 - 6 * i)) & 0x3F for i in range(8)]
+        words.append(c[0] | c[6] << 8 | c[4] << 16 | c[2] << 24)
+        words.append(c[7] << 4 | c[5] << 12 | c[3] << 20 | c[1] << 28)
+    return tuple(tuple(words[i: i + 4]) for i in range(0, len(words), 4))
+
+
+def _feistel_passes(left, right, passes, sp):
+    """Every pass's 16 rounds on two 32-bit halves, each an int (one
+    block) or an int64 array (a batch): widened on entry, still widened
+    on return, the halves swapped after each pass."""
+    sp0, sp1, sp2, sp3 = sp
+    left |= (left & 0xF) << 32
+    right |= (right & 0xF) << 32
+    for keys in passes:
+        for ka, kb, kc, kd in keys:
+            u = right ^ ka
+            t = right ^ kb
+            left ^= (sp0[u & 0x3F3F] ^ sp1[(u >> 16) & 0x3F3F]
+                     ^ sp2[(t >> 4) & 0x3F3F] ^ sp3[(t >> 20) & 0x3F3F])
+            u = left ^ kc
+            t = left ^ kd
+            right ^= (sp0[u & 0x3F3F] ^ sp1[(u >> 16) & 0x3F3F]
+                      ^ sp2[(t >> 4) & 0x3F3F] ^ sp3[(t >> 20) & 0x3F3F])
+        left, right = right, left
+    return left, right
+
+
+def _des_scalar(data: bytes, passes, chain: Optional[int] = None) -> bytes:
+    """One IP, 16 rounds per pass, one FP, block by block.
+
+    ``passes`` holds one :func:`_des_pass` schedule for DES and three for
+    3DES: the interior FP∘IP pairs of EDE cancel, leaving only the half
+    swap that ends each pass.  With ``chain`` (the IV as an int) each
+    plaintext block is XORed with the previous output first — CBC
+    encryption with the chain kept as an int.
+    """
+    if len(data) % 8:
+        raise ValueError(
+            f"data length {len(data)} is not a multiple of block size 8"
+        )
+    ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _IP_TAB
+    fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _FP_TAB
+    sp = _SP2
+    out = bytearray(len(data))
+    for base in range(0, len(data), 8):
+        v = int.from_bytes(data[base: base + 8], "big")
+        if chain is not None:
+            v ^= chain
+        v = (ip0[v >> 56] | ip1[(v >> 48) & 0xFF] | ip2[(v >> 40) & 0xFF]
+             | ip3[(v >> 32) & 0xFF] | ip4[(v >> 24) & 0xFF]
+             | ip5[(v >> 16) & 0xFF] | ip6[(v >> 8) & 0xFF] | ip7[v & 0xFF])
+        left, right = _feistel_passes(v >> 32, v & 0xFFFFFFFF, passes, sp)
+        v = (fp0[(left >> 24) & 0xFF] | fp1[(left >> 16) & 0xFF]
+             | fp2[(left >> 8) & 0xFF] | fp3[left & 0xFF]
+             | fp4[(right >> 24) & 0xFF] | fp5[(right >> 16) & 0xFF]
+             | fp6[(right >> 8) & 0xFF] | fp7[right & 0xFF])
+        if chain is not None:
+            chain = v
+        out[base: base + 8] = v.to_bytes(8, "big")
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +464,20 @@ _NPT = {}           # numpy mirrors of the lookup tables, built by the probe
 #: writeback shape — stay on the scalar kernels and wide calls (installs,
 #: region decrypts, pad batches) take the gathers.
 NUMPY_MIN_BLOCKS_AES = 32
-NUMPY_MIN_BLOCKS_DES = 32
+#: The DES crossover, measured as ``_des_scalar`` vs ``_np_des_crypt``
+#: encrypt time per call (best of 15x5, ms) on a shared 2-core x86_64
+#: host, Python 3.11.7, numpy 2.4.6:
+#:
+#:   blocks      8      16     24     32     48     64     128
+#:   DES      0.094  0.185  0.290  0.408  0.634  0.796  1.541  scalar
+#:            0.321  0.324  0.342  0.372  0.374  0.351  0.388  numpy
+#:   3DES     0.265  0.476  0.701  1.012  1.393  1.999  3.903  scalar
+#:            0.864  0.781  0.791  0.862  0.804  0.921  0.946  numpy
+#:
+#: Both cross over between 24 and 32 blocks.  In four runs covering 24-32
+#: blocks numpy won every run at 28 and 32 blocks and three of four at 24
+#: (the fourth went 15% the other way), so the threshold sits at 24.
+NUMPY_MIN_BLOCKS_DES = 24
 
 
 def _build_numpy_tables(np) -> dict:
@@ -380,8 +489,8 @@ def _build_numpy_tables(np) -> dict:
         "inv_sbox": np.array(INV_SBOX, dtype=u32),
         "ip": tuple(np.array(t, dtype=u64) for t in _IP_TAB),
         "fp": tuple(np.array(t, dtype=u64) for t in _FP_TAB),
-        "e": tuple(np.array(t, dtype=u64) for t in _E_TAB),
-        "sp": tuple(np.array(t, dtype=u64) for t in _SP),
+        # int64: the gathers index with the halves directly, no cast.
+        "sp": tuple(np.array(t, dtype=np.int64) for t in _SP2),
     }
 
 
@@ -445,33 +554,18 @@ def _np_perm64(v, tabs):
     return r
 
 
-def _np_des_crypt(data: bytes, chains) -> bytes:
-    """One IP, 16 gathered rounds per chain link, one FP — whole batch.
-
-    ``chains`` is a tuple of uint64 round-key arrays: one entry for DES,
-    three (the EDE composition with the interior FP∘IP pairs dropped) for
-    3DES, mirroring the scalar kernels exactly.
-    """
+def _np_des_crypt(data: bytes, passes) -> bytes:
+    """:func:`_des_scalar` (without the chain) over the whole batch: the
+    same round function, schedules and tables, 4 gathers per round."""
     np = _np
-    e0, e1, e2, e3 = _NPT["e"]
-    sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _NPT["sp"]
     v = _np_perm64(np.frombuffer(data, dtype=">u8").astype(np.uint64),
                    _NPT["ip"])
-    left = v >> 32
-    right = v & 0xFFFFFFFF
-    for keys in chains:
-        for key in keys:
-            x = (e0[right >> 24] | e1[(right >> 16) & 0xFF]
-                 | e2[(right >> 8) & 0xFF] | e3[right & 0xFF]) ^ key
-            f = (sp0[(x >> 42) & 0x3F] ^ sp1[(x >> 36) & 0x3F]
-                 ^ sp2[(x >> 30) & 0x3F] ^ sp3[(x >> 24) & 0x3F]
-                 ^ sp4[(x >> 18) & 0x3F] ^ sp5[(x >> 12) & 0x3F]
-                 ^ sp6[(x >> 6) & 0x3F] ^ sp7[x & 0x3F])
-            left, right = right, left ^ f
-        # The final half swap of each 16-round pass.
-        left, right = right, left
-    return _np_perm64((left << 32) | right,
-                      _NPT["fp"]).astype(">u8").tobytes()
+    left, right = _feistel_passes((v >> 32).astype(np.int64),
+                                  (v & 0xFFFFFFFF).astype(np.int64),
+                                  passes, _NPT["sp"])
+    v = ((left.astype(np.uint64) & 0xFFFFFFFF) << 32) \
+        | (right.astype(np.uint64) & 0xFFFFFFFF)
+    return _np_perm64(v, _NPT["fp"]).astype(">u8").tobytes()
 
 
 def _numpy_ok() -> bool:
@@ -492,20 +586,13 @@ def _numpy_ok() -> bool:
             return False
         if _np_aes_crypt(kernel, ct, encrypt=False) != data:
             return False
-    des = DESKernel(bytes(range(8)))
-    ct = des._crypt_blocks(data, des._keys)
-    enc_np, dec_np = des._np_schedules()
-    if _np_des_crypt(data, enc_np) != ct:
-        return False
-    if _np_des_crypt(ct, dec_np) != data:
-        return False
-    tdes = TripleDESKernel(bytes(range(24)))
-    ct = tdes._crypt_blocks(data, tdes._enc)
-    enc_np, dec_np = tdes._np_schedules()
-    if _np_des_crypt(data, enc_np) != ct:
-        return False
-    if _np_des_crypt(ct, dec_np) != data:
-        return False
+    for des in (DESKernel(bytes(range(8))),
+                TripleDESKernel(bytes(range(24)))):
+        ct = _des_scalar(data, des._enc)
+        if _np_des_crypt(data, des._enc) != ct:
+            return False
+        if _np_des_crypt(ct, des._dec) != data:
+            return False
     return True
 
 
@@ -530,18 +617,24 @@ def _init_numpy_backend(probe: Callable[[], bool] = None) -> bool:
     return NUMPY_BACKED
 
 
+def _des_crypt(data: bytes, passes) -> bytes:
+    """ECB through ``passes``: gathers for wide batches, else scalar."""
+    if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
+            and len(data) % 8 == 0:
+        return _np_des_crypt(data, passes)
+    return _des_scalar(data, passes)
+
+
 class DESKernel:
     """Bit-packed DES, byte-identical to :class:`repro.crypto.des.DES`."""
 
     block_size = 8
-    key_size = 8
 
     def __init__(self, key: bytes):
         if len(key) != 8:
             raise ValueError(f"DES key must be 8 bytes, got {len(key)}")
-        self._keys = tuple(_key_schedule(int.from_bytes(key, "big")))
-        self._rev_keys = tuple(reversed(self._keys))
-        self._keys_np = self._rev_keys_np = None
+        keys = _key_schedule(int.from_bytes(key, "big"))
+        self._init_passes((keys,), (keys[::-1],))
 
     def __deepcopy__(self, memo):
         # Immutable after construction (see AESKernel.__deepcopy__).
@@ -550,42 +643,23 @@ class DESKernel:
     @classmethod
     def from_cipher(cls, cipher: DES) -> "DESKernel":
         kernel = cls.__new__(cls)
-        kernel._keys = tuple(cipher._round_keys)
-        kernel._rev_keys = tuple(reversed(kernel._keys))
-        kernel._keys_np = kernel._rev_keys_np = None
+        keys = cipher._round_keys
+        kernel._init_passes((keys,), (keys[::-1],))
         return kernel
 
-    def _np_schedules(self):
-        if self._keys_np is None:
-            np = _np
-            self._keys_np = (np.array(self._keys, dtype=np.uint64),)
-            self._rev_keys_np = (np.array(self._rev_keys, dtype=np.uint64),)
-        return self._keys_np, self._rev_keys_np
-
-    def _crypt_blocks(self, data: bytes, keys) -> bytes:
-        if len(data) % 8:
-            raise ValueError(
-                f"data length {len(data)} is not a multiple of block size 8"
-            )
-        out = bytearray(len(data))
-        for base in range(0, len(data), 8):
-            v = _perm64(int.from_bytes(data[base: base + 8], "big"), _IP_TAB)
-            out[base: base + 8] = _perm64(
-                _des_rounds(v, keys), _FP_TAB
-            ).to_bytes(8, "big")
-        return bytes(out)
+    def _init_passes(self, enc, dec) -> None:
+        self._enc = tuple(_des_pass(keys) for keys in enc)
+        self._dec = tuple(_des_pass(keys) for keys in dec)
 
     def encrypt_blocks(self, data: bytes) -> bytes:
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
-                and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._np_schedules()[0])
-        return self._crypt_blocks(data, self._keys)
+        return _des_crypt(data, self._enc)
 
     def decrypt_blocks(self, data: bytes) -> bytes:
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
-                and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._np_schedules()[1])
-        return self._crypt_blocks(data, self._rev_keys)
+        return _des_crypt(data, self._dec)
+
+    def cbc_encrypt(self, iv: bytes, data: bytes) -> bytes:
+        """CBC-encrypt ``data``, the chain carried as an int."""
+        return _des_scalar(data, self._enc, _iv_int(iv, 8))
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 8:
@@ -598,16 +672,15 @@ class DESKernel:
         return self.decrypt_blocks(block)
 
 
-class TripleDESKernel:
+class TripleDESKernel(DESKernel):
     """Bit-packed 3DES-EDE, byte-identical to
     :class:`repro.crypto.des.TripleDES`.
 
-    The interior FP∘IP permutation pairs of the EDE composition cancel
-    (FP is IP's inverse), so each block pays one IP, 48 packed rounds and
+    The same kernel as :class:`DESKernel` with three passes per block: the
+    interior FP∘IP permutation pairs of the EDE composition cancel (FP is
+    IP's inverse), so each block pays one IP, 48 paired-table rounds and
     one FP.
     """
-
-    block_size = 8
 
     def __init__(self, key: bytes):
         if len(key) == 8:
@@ -620,75 +693,20 @@ class TripleDESKernel:
             raise ValueError(
                 f"3DES key must be 8, 16 or 24 bytes, got {len(key)}"
             )
-        self._init_schedules(
-            _key_schedule(int.from_bytes(k1, "big")),
-            _key_schedule(int.from_bytes(k2, "big")),
-            _key_schedule(int.from_bytes(k3, "big")),
-        )
-
-    def __deepcopy__(self, memo):
-        # Immutable after construction (see AESKernel.__deepcopy__).
-        return self
+        self._init_ede(*(_key_schedule(int.from_bytes(k, "big"))
+                         for k in (k1, k2, k3)))
 
     @classmethod
     def from_cipher(cls, cipher: TripleDES) -> "TripleDESKernel":
         kernel = cls.__new__(cls)
-        kernel._init_schedules(
-            cipher._d1._round_keys, cipher._d2._round_keys,
-            cipher._d3._round_keys,
-        )
+        kernel._init_ede(cipher._d1._round_keys, cipher._d2._round_keys,
+                         cipher._d3._round_keys)
         return kernel
 
-    def _init_schedules(self, ks1, ks2, ks3) -> None:
+    def _init_ede(self, ks1, ks2, ks3) -> None:
         # Encrypt: E(K1) -> D(K2) -> E(K3); decrypt reverses the chain.
-        self._enc = (tuple(ks1), tuple(reversed(ks2)), tuple(ks3))
-        self._dec = (tuple(reversed(ks3)), tuple(ks2), tuple(reversed(ks1)))
-        self._enc_np = self._dec_np = None
-
-    def _np_schedules(self):
-        if self._enc_np is None:
-            np = _np
-            self._enc_np = tuple(
-                np.array(k, dtype=np.uint64) for k in self._enc)
-            self._dec_np = tuple(
-                np.array(k, dtype=np.uint64) for k in self._dec)
-        return self._enc_np, self._dec_np
-
-    @staticmethod
-    def _crypt_blocks(data: bytes, schedules) -> bytes:
-        if len(data) % 8:
-            raise ValueError(
-                f"data length {len(data)} is not a multiple of block size 8"
-            )
-        ka, kb, kc = schedules
-        out = bytearray(len(data))
-        for base in range(0, len(data), 8):
-            v = _perm64(int.from_bytes(data[base: base + 8], "big"), _IP_TAB)
-            v = _des_rounds(_des_rounds(_des_rounds(v, ka), kb), kc)
-            out[base: base + 8] = _perm64(v, _FP_TAB).to_bytes(8, "big")
-        return bytes(out)
-
-    def encrypt_blocks(self, data: bytes) -> bytes:
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
-                and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._np_schedules()[0])
-        return self._crypt_blocks(data, self._enc)
-
-    def decrypt_blocks(self, data: bytes) -> bytes:
-        if NUMPY_BACKED and len(data) >= NUMPY_MIN_BLOCKS_DES * 8 \
-                and len(data) % 8 == 0:
-            return _np_des_crypt(data, self._np_schedules()[1])
-        return self._crypt_blocks(data, self._dec)
-
-    def encrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 8:
-            raise ValueError(f"DES block must be 8 bytes, got {len(block)}")
-        return self.encrypt_blocks(block)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 8:
-            raise ValueError(f"DES block must be 8 bytes, got {len(block)}")
-        return self.decrypt_blocks(block)
+        self._init_passes((ks1, ks2[::-1], ks3),
+                          (ks3[::-1], ks2, ks1[::-1]))
 
 
 class ReferenceKernel:
@@ -730,6 +748,9 @@ class ReferenceKernel:
         return b"".join(
             dec(data[i: i + size]) for i in range(0, len(data), size)
         )
+
+    def cbc_encrypt(self, iv: bytes, data: bytes) -> bytes:
+        return _cbc_chain(self._cipher, iv, data)
 
     def encrypt_block(self, block: bytes) -> bytes:
         return self._cipher.encrypt_block(block)
@@ -849,6 +870,37 @@ def decrypt_blocks(cipher, data: bytes) -> bytes:
         )
     dec = cipher.decrypt_block
     return b"".join(dec(data[i: i + size]) for i in range(0, len(data), size))
+
+
+def _cbc_chain(cipher, iv: bytes, data: bytes) -> bytes:
+    """Per-block CBC encryption through ``cipher.encrypt_block``."""
+    size = cipher.block_size
+    prev = _iv_int(iv, size)
+    if len(data) % size:
+        raise ValueError(
+            f"data length {len(data)} is not a multiple of block size {size}"
+        )
+    enc = cipher.encrypt_block
+    out = []
+    for i in range(0, len(data), size):
+        block = enc((int.from_bytes(data[i: i + size], "big")
+                     ^ prev).to_bytes(size, "big"))
+        prev = int.from_bytes(block, "big")
+        out.append(block)
+    return b"".join(out)
+
+
+def cbc_encrypt(cipher, iv: bytes, data: bytes) -> bytes:
+    """CBC-encrypt ``data`` under ``iv`` through ``cipher``'s kernel.
+
+    The chain is serial (C_i feeds C_{i+1}), so it runs inside the kernel
+    with the previous ciphertext kept as an int; exotic ciphers fall back
+    to a per-block chain.
+    """
+    kernel = kernel_for(cipher)
+    if kernel is not None:
+        return kernel.cbc_encrypt(iv, data)
+    return _cbc_chain(cipher, iv, data)
 
 
 def ctr_pad(cipher, addr: int, nbytes: int,

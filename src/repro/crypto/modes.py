@@ -80,15 +80,9 @@ class CBC:
         self.iv = iv
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        # The chain is inherently serial (C_i feeds C_{i+1}); the kernel
-        # still accelerates each block encryption.
-        enc = (kernels.kernel_for(self.cipher) or self.cipher).encrypt_block
-        prev = self.iv
-        out = []
-        for block in _split_blocks(plaintext, self.block_size):
-            prev = enc(xor_bytes(block, prev))
-            out.append(prev)
-        return b"".join(out)
+        # The chain is inherently serial (C_i feeds C_{i+1}), so the whole
+        # chain runs inside the kernel, the previous block kept as an int.
+        return kernels.cbc_encrypt(self.cipher, self.iv, plaintext)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         # Decryption has no chain dependency: batch-decrypt every block,

@@ -3,16 +3,23 @@
 The kernels in :mod:`repro.crypto.kernels` must be *bit-for-bit* equal to
 the reference ciphers — the bench metrics are committed byte-identical and
 every engine now routes through the fast path.  These tests pin that on
-the published known answers (FIPS 197, SP 800-67) and on 1000 random
-blocks per key size, and cover the registry/dispatch plumbing.
+the published known answers (FIPS 197, SP 800-67), on 1000 random
+blocks per key size and on every batch width around the numpy threshold,
+check the in-kernel CBC chain, and cover the registry/dispatch plumbing.
+Planted defects (a flipped pair-table entry, a flipped CBC chaining byte)
+show the sweeps can fail.
 """
+
+import functools
 
 import pytest
 
 from repro.crypto import AES, DES, DRBG, TripleDES
+from repro.crypto import kernels as kernels_mod
 from repro.crypto.kernels import (
     AESKernel,
     DESKernel,
+    ReferenceKernel,
     TripleDESKernel,
     aes_kernel,
     ctr_pad,
@@ -99,6 +106,53 @@ EQUIVALENCE_CASES = [
 ]
 
 
+def _widths(kernel_cls):
+    """Batch widths on both sides of the numpy threshold N: the narrow
+    per-line shapes stay on the scalar rung even when numpy is active."""
+    n = (kernels_mod.NUMPY_MIN_BLOCKS_AES if kernel_cls is AESKernel
+         else kernels_mod.NUMPY_MIN_BLOCKS_DES)
+    return {"1": 1, "4": 4, "N-1": n - 1, "N": n, "N+1": n + 1, "200": 200}
+
+
+WIDTH_CASES = [
+    pytest.param(*case, width, id=f"{case[0]}-{label}")
+    for case in EQUIVALENCE_CASES
+    for label, width in _widths(case[3]).items()
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_blocks(name, key_len, ref_cls, width):
+    """(key, data, reference ciphertext) for one case and batch width."""
+    rng = DRBG(f"kernels-{name}-width-{width}".encode())
+    key = rng.random_bytes(key_len)
+    ref = ref_cls(key)
+    size = ref.block_size
+    data = rng.random_bytes(size * width)
+    expected = b"".join(
+        ref.encrypt_block(data[i: i + size]) for i in range(0, len(data), size)
+    )
+    return key, data, expected
+
+
+def _width_mismatches(name, key_len, ref_cls, kernel_cls, width):
+    """The directions in which ``kernel_cls`` differs from the reference."""
+    key, data, expected = _reference_blocks(name, key_len, ref_cls, width)
+    kernel = kernel_cls(key)
+    out = []
+    if kernel.encrypt_blocks(data) != expected:
+        out.append("encrypt")
+    if kernel.decrypt_blocks(expected) != data:
+        out.append("decrypt")
+    return out
+
+
+def _width_sweep_failures():
+    """(id, width) of every width-sweep case that mismatches."""
+    return [(case.id, case.values[-1]) for case in WIDTH_CASES
+            if _width_mismatches(*case.values)]
+
+
 class TestRandomEquivalence:
     @pytest.mark.parametrize(
         "name,key_len,ref_cls,kernel_cls", EQUIVALENCE_CASES,
@@ -117,6 +171,13 @@ class TestRandomEquivalence:
         )
         assert kernel.encrypt_blocks(data) == expected
         assert kernel.decrypt_blocks(expected) == data
+
+    @pytest.mark.parametrize(
+        "name,key_len,ref_cls,kernel_cls,width", WIDTH_CASES)
+    def test_matches_reference_at_width(self, name, key_len, ref_cls,
+                                        kernel_cls, width):
+        assert _width_mismatches(name, key_len, ref_cls, kernel_cls,
+                                 width) == []
 
     def test_batch_equals_per_block(self):
         rng = DRBG(b"kernels-batch")
@@ -153,6 +214,18 @@ class TestRandomEquivalence:
 
 # -- registry / dispatch ----------------------------------------------------
 
+class XorCipher:
+    """An exotic cipher with no table kernel: dispatch falls back to it."""
+
+    block_size = 4
+
+    def encrypt_block(self, block):
+        return bytes(b ^ 0x42 for b in block)
+
+    def decrypt_block(self, block):
+        return bytes(b ^ 0x42 for b in block)
+
+
 class TestRegistryAndDispatch:
     def test_registry_memoizes_by_key(self):
         key = bytes(range(16))
@@ -184,15 +257,6 @@ class TestRegistryAndDispatch:
         assert kernel_for(object()) is None
 
     def test_dispatch_falls_back_for_exotic_ciphers(self):
-        class XorCipher:
-            block_size = 4
-
-            def encrypt_block(self, block):
-                return bytes(b ^ 0x42 for b in block)
-
-            def decrypt_block(self, block):
-                return bytes(b ^ 0x42 for b in block)
-
         cipher = XorCipher()
         data = bytes(range(12))
         assert encrypt_blocks(cipher, data) \
@@ -219,6 +283,115 @@ class TestRegistryAndDispatch:
         assert ctr_pad(kernel, addr, nbytes, counter_block) == expected
         assert len(ctr_pad(kernel, 0, 1, counter_block)) == 1
         assert ctr_pad(kernel, 0, 0, counter_block) == b""
+
+
+# -- planted defects: the width sweep must be able to fail ------------------
+
+def _first_pair_index(monkeypatch):
+    """The first-pair-table entry the width-1 DES case reads first."""
+    seen = []
+
+    class Recorder(list):
+        def __getitem__(self, index):
+            seen.append(index)
+            return super().__getitem__(index)
+
+    tables = kernels_mod._SP2
+    monkeypatch.setattr(kernels_mod, "_SP2", (Recorder(tables[0]),
+                                              *tables[1:]))
+    key, data, _ = _reference_blocks("des-8", 8, DES, 1)
+    DESKernel(key).encrypt_blocks(data)
+    monkeypatch.setattr(kernels_mod, "_SP2", tables)
+    return seen[0]
+
+
+class TestPlantedDefects:
+    def test_flipped_scalar_pair_entry_fails_the_sweep(self, monkeypatch):
+        index = _first_pair_index(monkeypatch)
+        tables = list(kernels_mod._SP2)
+        tables[0] = list(tables[0])
+        tables[0][index] ^= 1
+        monkeypatch.setattr(kernels_mod, "_SP2", tuple(tables))
+        failures = _width_sweep_failures()
+        assert ("des-8-1", 1) in failures
+        if kernels_mod.NUMPY_BACKED:
+            # Only the scalar rung reads the scalar tables.
+            assert all(width < kernels_mod.NUMPY_MIN_BLOCKS_DES
+                       for _, width in failures)
+
+    def test_flipped_numpy_pair_entry_fails_the_sweep(self, monkeypatch):
+        if not kernels_mod.NUMPY_BACKED:
+            pytest.skip("numpy rung inactive")
+        index = _first_pair_index(monkeypatch)
+        tables = list(kernels_mod._NPT["sp"])
+        tables[0] = tables[0].copy()
+        tables[0][index] ^= 1
+        monkeypatch.setitem(kernels_mod._NPT, "sp", tuple(tables))
+        failures = _width_sweep_failures()
+        assert failures
+        assert all(width >= kernels_mod.NUMPY_MIN_BLOCKS_DES
+                   for _, width in failures)
+
+
+# -- the in-kernel CBC chain --------------------------------------------------
+
+#: name -> (key length, reference cipher, cipher handed to cbc_encrypt).
+CBC_CASES = {
+    "aes-128": (16, AES, AESKernel),
+    "aes-256": (32, AES, AESKernel),
+    "des": (8, DES, DESKernel),
+    "3des-16": (16, TripleDES, TripleDESKernel),
+    "3des-24": (24, TripleDES, TripleDESKernel),
+    "reference": (16, AES, lambda key: ReferenceKernel(AES(key))),
+    "exotic": (0, lambda key: XorCipher(), lambda key: XorCipher()),
+}
+
+
+def _check_cbc_case(name):
+    key_len, make_ref, make_cipher = CBC_CASES[name]
+    rng = DRBG(f"kernels-cbc-{name}".encode())
+    key = rng.random_bytes(key_len)
+    ref = make_ref(key)
+    size = ref.block_size
+    iv = rng.random_bytes(size)
+    data = rng.random_bytes(7 * size)
+    prev, expected = iv, b""
+    for i in range(0, len(data), size):
+        prev = ref.encrypt_block(
+            bytes(a ^ b for a, b in zip(data[i: i + size], prev)))
+        expected += prev
+    cipher = make_cipher(key)
+    assert kernels_mod.cbc_encrypt(cipher, iv, data) == expected
+    assert kernels_mod.cbc_encrypt(cipher, iv, b"") == b""
+    with pytest.raises(ValueError):
+        kernels_mod.cbc_encrypt(cipher, iv, data[:-1])
+    with pytest.raises(ValueError):
+        kernels_mod.cbc_encrypt(cipher, iv[:-1], data)
+
+
+class TestCbcChain:
+    @pytest.mark.parametrize("name", list(CBC_CASES))
+    def test_matches_per_block_reference_chain(self, name):
+        _check_cbc_case(name)
+
+    def test_flipped_chaining_byte_is_caught(self, monkeypatch):
+        """Mutant: every block after the first is chained from the
+        previous ciphertext with its first byte flipped."""
+        real = kernels_mod.cbc_encrypt
+
+        def mutant(cipher, iv, data):
+            size = cipher.block_size
+            prev, out = iv, []
+            for i in range(0, len(data), size):
+                block = real(cipher, prev, data[i: i + size])
+                out.append(block)
+                prev = bytes([block[0] ^ 1]) + block[1:]
+            return b"".join(out)
+
+        monkeypatch.setattr(kernels_mod, "cbc_encrypt", mutant)
+        for name in CBC_CASES:
+            with pytest.raises(AssertionError):
+                _check_cbc_case(name)
 
 
 # -- backend ladder: graceful degradation -----------------------------------

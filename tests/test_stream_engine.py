@@ -72,6 +72,28 @@ class TestPadCache:
         with pytest.raises(ValueError):
             StreamCipherEngine(KEY, pad_cache_lines=0)
 
+    def test_pad_ahead_computes_no_keystream(self):
+        """Pad-ahead only records line addresses: a one-line functional
+        fill makes one kernel call (its own decrypt pad), not one per
+        pad-ahead line too."""
+        engine = StreamCipherEngine(KEY, line_size=32, pad_ahead_depth=2)
+        port = make_port()
+        engine.install_image(port.memory, 0, bytes(range(128)))
+
+        class Spy:
+            def __init__(self, kernel):
+                self.kernel = kernel
+                self.calls = 0
+
+            def encrypt_blocks(self, data):
+                self.calls += 1
+                return self.kernel.encrypt_blocks(data)
+
+        engine._aes = spy = Spy(engine._aes)
+        assert engine.fill_line(port, 0, 32)[0] == bytes(range(32))
+        assert spy.calls == 1
+        assert {32, 64} <= set(engine._pad_cache)
+
 
 class TestPartialWrites:
     def test_secure_partial_write_rmws_whole_line(self):
