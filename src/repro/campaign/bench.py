@@ -10,7 +10,10 @@ writes a summary JSON (``BENCH_campaign_scaling.json``)::
 
 ``--smoke`` is the CI determinism gate (``make campaign-smoke``): a
 small sharded grid whose 2-worker output must match the 1-worker
-reference byte-for-byte, exiting non-zero on any divergence.
+reference byte-for-byte, exiting non-zero on any divergence.  Both modes
+then rerun the grid at 1 worker on the first run's now-warm cache: the
+replay must execute no point and reproduce the metrics byte-for-byte,
+so a broken cache index fails the gate.
 """
 
 from __future__ import annotations
@@ -96,6 +99,17 @@ def run_scaling(spec: CampaignSpec, worker_counts: List[int],
                   f"{result.profile['points']} points in "
                   f"{result.profile['wall_seconds']}s "
                   f"({result.tasks_per_second} tasks/s)")
+        replay = CampaignCoordinator(
+            spec, workers=1,
+            cache_dir=scratch / f"cache-w{worker_counts[0]}",
+        ).run()
+        if replay.executed or replay.metrics_json() != reference_json:
+            print(f"campaign-bench: FAIL — the warm-cache replay executed "
+                  f"{replay.executed} points or changed the metrics",
+                  file=sys.stderr)
+            return 1
+        print(f"campaign-bench: warm-cache replay: {replay.cached} hits, "
+              f"0 executed, metrics byte-identical")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 

@@ -11,9 +11,11 @@ Execution is resume-first: before anything runs, every point's
 content-addressed key is probed against the on-disk
 :class:`~repro.runner.cache.ResultCache`; only the misses are handed to
 workers (in-process for ``workers=1`` — the reference path — or a
-fork pool otherwise), and each completes to disk point-by-point.  Kill
-the coordinator mid-sweep and rerun: completed points replay as cache
-hits and only the remainder executes.
+fork pool otherwise), both through :func:`~repro.campaign.worker.run_items`,
+which publishes completed points to disk in doubling batches (at most
+64 lost to a SIGKILL; an exception or ``KeyboardInterrupt`` flushes the
+open batch first).  Kill the coordinator mid-sweep and rerun: completed
+points replay as cache hits and only the remainder executes.
 
 Results from any mix of cache replay and live execution meet in
 :mod:`repro.campaign.merge`, whose sorted-key reduction makes the final
@@ -32,7 +34,7 @@ from ..runner.cache import ResultCache
 from ..runner.runner import fork_pool, to_canonical_json
 from .merge import build_document, merge_shard_documents, shard_document
 from .spec import CAMPAIGN_SCHEMA, CampaignSpec
-from .worker import execute_point, execute_shard
+from .worker import execute_shard, run_items
 
 __all__ = ["CampaignCoordinator", "CampaignResult"]
 
@@ -195,17 +197,12 @@ class CampaignCoordinator:
             return
         cache_dir = str(self.cache.root) if self.cache is not None else None
         if self.workers == 1:
-            # In-process reference path: same per-point publish cadence
-            # as the pool workers, so interrupts lose at most one point.
+            # In-process reference path: the pool workers' loop, with a
+            # progress line per completed point.
             for shard_id in sorted(pending):
-                completed = []
-                for name, kind, params, key in pending[shard_id]:
-                    metrics = execute_point(kind, params)
-                    if self.cache is not None:
-                        self.cache.put(key, {"metrics": metrics})
-                    completed.append((name, metrics))
-                    self._progress(f"{name}  [done]")
-                yield shard_id, completed
+                yield shard_id, run_items(
+                    pending[shard_id], self.cache,
+                    lambda name, _: self._progress(f"{name}  [done]"))
             return
         payloads = [
             (shard_id, pending[shard_id], cache_dir)

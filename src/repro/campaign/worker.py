@@ -2,11 +2,14 @@
 
 The worker side of the coordinator/worker split.  :func:`execute_point`
 turns one :class:`~repro.campaign.spec.CampaignPoint` into its metrics
-dict; :func:`execute_shard` is the ``multiprocessing`` entry point that
-walks a whole shard, publishing each completed point into the shared
-on-disk :class:`~repro.runner.cache.ResultCache` as it lands (atomic
-rename makes concurrent shard writers safe), so an interrupted sweep
-loses at most the points in flight.
+dict; :func:`run_items` walks a list of pending points and publishes
+the completed ones into the shared on-disk
+:class:`~repro.runner.cache.ResultCache` in doubling batches (1, 2, 4,
+... up to :data:`MAX_BATCH`), one atomically renamed segment file per
+batch, so concurrent shard writers are safe, early progress reaches
+disk at once, and a SIGKILL loses at most one in-flight batch (<= 64
+points).  It is the body of both the in-process ``workers=1`` path and
+:func:`execute_shard`, the ``multiprocessing`` entry point.
 
 Per-process memoization: workload traces are built and compiled once per
 ``(workload, accesses, seed, line_size)`` and reused across every design
@@ -21,16 +24,24 @@ from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..runner.cache import ResultCache, stable_floats
 
-__all__ = ["execute_point", "execute_shard"]
+__all__ = ["MAX_BATCH", "execute_point", "execute_shard", "run_items"]
 
-#: One shard handed to a worker process: its id, the pending points as
-#: ``(name, kind, params, task_key)`` tuples, and the cache directory
-#: (``None`` disables publication).
-ShardPayload = Tuple[int, List[Tuple[str, str, dict, str]], Optional[str]]
+#: Largest batch of completed points published as one cache segment.
+#: Batches double from 1 up to this cap: the first points reach disk at
+#: once, a long shard writes few files, and a kill loses at most one
+#: batch.
+MAX_BATCH = 64
+
+#: A pending point: ``(name, kind, params, task_key)``.
+Item = Tuple[str, str, dict, str]
+
+#: One shard handed to a worker process: its id, the pending points and
+#: the cache directory (``None`` disables publication).
+ShardPayload = Tuple[int, List[Item], Optional[str]]
 
 
 @lru_cache(maxsize=64)
@@ -149,21 +160,47 @@ def execute_point(kind: str, params: Dict[str, object]) -> Dict[str, object]:
     return stable_floats(family(params))
 
 
+def run_items(items: List[Item], cache: Optional[ResultCache],
+              on_done: Optional[Callable[[str, dict], None]] = None,
+              ) -> List[Tuple[str, dict]]:
+    """Execute ``items`` in order; returns ``[(name, metrics), ...]``.
+
+    Completed points are published to ``cache`` (when given) in batches
+    of 1, 2, 4, ... :data:`MAX_BATCH` points, one segment each.
+    ``on_done(name, metrics)`` runs after each point completes; the
+    ``finally`` publishes the open batch when an exception or
+    ``KeyboardInterrupt`` (from a point or from ``on_done``) ends the
+    run, so every completed point reaches the cache.
+    """
+    completed: List[Tuple[str, dict]] = []
+    batch: List[Tuple[str, dict]] = []
+    size = 1
+    try:
+        for name, kind, params, key in items:
+            metrics = execute_point(kind, params)
+            completed.append((name, metrics))
+            if cache is not None:
+                batch.append((key, {"metrics": metrics}))
+                if len(batch) == size:
+                    full, batch = batch, []
+                    cache.put_many(full)
+                    size = min(2 * size, MAX_BATCH)
+            if on_done is not None:
+                on_done(name, metrics)
+    finally:
+        if batch:
+            cache.put_many(batch)
+    return completed
+
+
 def execute_shard(payload: ShardPayload):
     """Process-pool entry point: execute every pending point of a shard.
 
     Returns ``(shard_id, [(name, metrics), ...])`` in execution order.
-    Each point is published to the on-disk cache immediately after it
-    completes; the coordinator never re-collects cached points from the
-    return value, so a worker killed mid-shard simply leaves its
-    completed prefix behind for the next run to resume from.
+    The coordinator never re-collects cached points from the return
+    value, so a worker killed mid-shard simply leaves its published
+    batches behind for the next run to resume from.
     """
     shard_id, items, cache_dir = payload
     cache = ResultCache(Path(cache_dir)) if cache_dir else None
-    completed = []
-    for name, kind, params, key in items:
-        metrics = execute_point(kind, params)
-        if cache is not None:
-            cache.put(key, {"metrics": metrics})
-        completed.append((name, metrics))
-    return shard_id, completed
+    return shard_id, run_items(items, cache)

@@ -2,12 +2,26 @@
 
 Task results are pure functions of ``(experiment, task, context,
 code-version)``, so re-running a bench suite only pays for what changed.
-Each completed task is one small JSON file under the cache directory,
-keyed by a SHA-256 of the identifying tuple; the package version is part
-of the key so upgrading the code invalidates stale results wholesale.
+Results are keyed by a SHA-256 of the identifying tuple; the package
+version is part of the key so upgrading the code invalidates stale
+results wholesale.
 
-The cache is safe under concurrent writers (atomic rename) and safe to
-delete at any time (``make clean`` removes it).
+The directory holds *segments*: one file per publication, named after
+its first key (``<key>.json``), with one ``{"key": ..., "value": ...}``
+JSON line per entry.  :meth:`ResultCache.put_many` writes a batch as one
+segment; :meth:`ResultCache.put` writes a one-entry segment, which is
+byte-identical to the one-file-per-key layout of earlier versions, so
+old cache directories still replay.  Reads go through an in-memory
+index of the segments seen so far: a miss loads only the segment files
+not read yet (a replaced file has a new inode and is read again), never
+the whole directory.  Garbage, truncated lines and entries of the wrong
+shape are skipped, so they read as misses.  A segment that starts with
+the same key as an older one replaces that file; entries only the
+older file held are recomputed by a later run, never replayed wrong.
+
+The cache is safe under concurrent writers (each segment is published
+by an atomic rename) and safe to delete at any time (``make clean``
+removes it).
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from .. import __version__
 
@@ -53,6 +67,10 @@ class ResultCache:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        #: key -> the JSON line of its entry, for every segment read.
+        self._index: Dict[str, str] = {}
+        #: segment file name -> inode it had when it was read.
+        self._segments: Dict[str, int] = {}
 
     @staticmethod
     def task_key(experiment_id: str, task_name: str, ctx_key: dict,
@@ -89,41 +107,75 @@ class ResultCache:
         """Hit/miss accounting as a JSON-ready dict (profiles, stats)."""
         return {"hits": self.hits, "misses": self.misses}
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     def get(self, key: str) -> Optional[dict]:
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        # Entries written before the payload carried a "value" field are
-        # unreadable by construction: treat them as misses, not as data.
-        if "value" not in payload:
+        line = self._index.get(key)
+        if line is None:
+            self._load_new_segments()
+            line = self._index.get(key)
+        if line is None:
             self.misses += 1
             return None
         self.hits += 1
-        return payload["value"]
+        # Decoded per hit: no two callers share one replayed object.
+        return json.loads(line)["value"]
 
     def put(self, key: str, value: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.put_many([(key, value)])
+
+    def put_many(self, entries: Iterable[Tuple[str, dict]]) -> None:
+        """Publish ``entries`` as one segment; no file when empty."""
         # Canonical on-disk form: sorted keys below, stable floats here.
         # Producers already emit rounded floats, so this is normally the
         # identity — it exists so no writer can introduce entries whose
         # replay differs from a fresh execution by float formatting.
-        payload = {"key": key, "value": stable_floats(value)}
-        # Atomic publish: never expose a half-written JSON file.
+        lines = {key: json.dumps({"key": key, "value": stable_floats(value)},
+                                 sort_keys=True)
+                 for key, value in entries}
+        if not lines:
+            return
+        self.root.mkdir(parents=True, exist_ok=True)
+        name = f"{next(iter(lines))}.json"
+        # Atomic publish: never expose a half-written segment.
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, self._path(key))
+                fh.write("\n".join(lines.values()))
+                inode = os.fstat(fh.fileno()).st_ino
+            os.replace(tmp, self.root / name)
         except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
+        self._segments[name] = inode
+        self._index.update(lines)
+
+    def _load_new_segments(self) -> None:
+        """Index every segment file not read yet (or replaced since)."""
+        try:
+            with os.scandir(self.root) as entries:
+                fresh = [(entry.name, entry.inode()) for entry in entries
+                         if entry.name.endswith(".json")
+                         and self._segments.get(entry.name) != entry.inode()]
+        except OSError:
+            return
+        for name, inode in fresh:
+            self._segments[name] = inode
+            try:
+                with open(self.root / name, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, ValueError):
+                continue
+            for line in text.split("\n"):
+                try:
+                    payload = json.loads(line)
+                except (ValueError, RecursionError):
+                    continue
+                # Entries written before the payload carried a "value"
+                # field, or of any other shape, are unreadable by
+                # construction: skip them, so they read as misses.
+                if (isinstance(payload, dict)
+                        and isinstance(payload.get("key"), str)
+                        and isinstance(payload.get("value"), dict)):
+                    self._index[payload["key"]] = line

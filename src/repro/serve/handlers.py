@@ -61,9 +61,9 @@ def execute_campaign_op(spec_doc: dict, cache_dir: Optional[str]) -> dict:
     """Run one campaign sweep; returns ``{"metrics", "profile"}``.
 
     Runs in-process inside the worker (``workers=1``) against the
-    *server's* cache directory: every completed point publishes
-    atomically as it lands, so a server killed mid-campaign leaves its
-    finished points behind and the next serve of the same spec resumes
+    *server's* cache directory: completed points publish atomically in
+    doubling batches, so a server killed mid-campaign leaves all but its
+    in-flight batch behind and the next serve of the same spec resumes
     instead of restarting (``profile.cache.hits`` shows the replay).
     """
     from ..api import run_campaign

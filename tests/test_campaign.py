@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -272,6 +273,137 @@ class TestResume:
         cache.put(point.task_key(schema="repro-campaign-metrics/0"),
                   {"metrics": {"stale": True}})
         assert cache.get(point.task_key()) is None
+
+
+class _RecordingCache:
+    """Stands in for ResultCache: records each published batch."""
+
+    def __init__(self):
+        self.batches = []
+
+    def put_many(self, entries):
+        self.batches.append(list(entries))
+
+
+def _fake_items(n):
+    return [(f"p{i}", "fake", {"i": i}, f"k{i}") for i in range(n)]
+
+
+class TestBatchedPublication:
+    @pytest.fixture(autouse=True)
+    def fake_points(self, monkeypatch):
+        def execute_point(kind, params):
+            if params["i"] == self.fail_at:
+                raise RuntimeError("point failed")
+            return {"i": params["i"]}
+
+        self.fail_at = None
+        monkeypatch.setattr(worker, "execute_point", execute_point)
+
+    def test_batches_double_up_to_the_cap(self):
+        cache = _RecordingCache()
+        completed = worker.run_items(_fake_items(200), cache)
+        assert worker.MAX_BATCH == 64
+        assert [len(b) for b in cache.batches] == \
+            [1, 2, 4, 8, 16, 32, 64, 64, 9]
+        published = [entry for batch in cache.batches for entry in batch]
+        assert published == [(f"k{i}", {"metrics": {"i": i}})
+                             for i in range(200)]
+        assert completed == [(f"p{i}", {"i": i}) for i in range(200)]
+
+    def test_failing_point_still_publishes_the_completed_prefix(self):
+        cache = _RecordingCache()
+        self.fail_at = 5
+        with pytest.raises(RuntimeError):
+            worker.run_items(_fake_items(20), cache)
+        # Batches [0], [1, 2], then the open batch [3, 4] is flushed.
+        assert [[key for key, _ in b] for b in cache.batches] == \
+            [["k0"], ["k1", "k2"], ["k3", "k4"]]
+
+    def test_interrupt_in_on_done_flushes_the_open_batch(self):
+        cache = _RecordingCache()
+
+        def on_done(name, metrics):
+            if name == "p4":
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            worker.run_items(_fake_items(20), cache, on_done)
+        assert [key for b in cache.batches for key, _ in b] == \
+            ["k0", "k1", "k2", "k3", "k4"]
+
+    def test_no_cache_runs_every_item(self):
+        assert len(worker.run_items(_fake_items(3), None)) == 3
+
+    def test_empty_put_many_creates_no_file(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        cache.put_many([])
+        assert not cache.root.exists()
+        cache.root.mkdir()
+        cache.put_many([])
+        assert list(cache.root.iterdir()) == []
+
+    def test_full_segment_replays_every_key(self, tmp_path):
+        entries = [(f"key{i:02d}", {"metrics": {"i": i, "x": i / 3}})
+                   for i in range(64)]
+        ResultCache(tmp_path / "c").put_many(entries)
+        assert [p.name for p in (tmp_path / "c").iterdir()] == \
+            ["key00.json"]
+        fresh = ResultCache(tmp_path / "c")
+        for key, value in entries:
+            assert fresh.get(key) == stable_floats(value)
+        assert fresh.get("absent") is None
+        assert fresh.counters() == {"hits": 64, "misses": 1}
+
+
+def _interrupt_then_resume(tmp_path, kill_after):
+    """TestResume's gate, killing after ``kill_after`` done points."""
+    done = []
+
+    def killer(line):
+        if "[done]" in line:
+            done.append(line)
+            if len(done) == kill_after:
+                raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        CampaignCoordinator(SMALL, workers=1, cache_dir=tmp_path / "c",
+                            progress=killer).run()
+    return CampaignCoordinator(SMALL, workers=1,
+                               cache_dir=tmp_path / "c").run()
+
+
+class TestSkippedPublishMutant:
+    """Planted "skipped cache publish" defects the resume gates catch."""
+
+    def test_mid_batch_interrupt_resumes_exactly(self, tmp_path):
+        # After 5 points, points 3 and 4 sit in the open 4-point batch.
+        resumed = _interrupt_then_resume(tmp_path, 5)
+        assert resumed.cached == 5
+        assert resumed.executed == SMALL.size - 5
+
+    def test_skipped_in_flight_flush_is_caught(self, tmp_path,
+                                               monkeypatch):
+        real = ResultCache.put_many
+
+        def put_many(self, entries):
+            if sys.exc_info()[0] is None:   # the unwinding flush is lost
+                real(self, entries)
+
+        monkeypatch.setattr(ResultCache, "put_many", put_many)
+        resumed = _interrupt_then_resume(tmp_path, 5)
+        assert resumed.cached == 3          # the gate above wants 5
+
+    def test_dropped_last_entry_is_caught(self, tmp_path, monkeypatch):
+        real = ResultCache.put_many
+        monkeypatch.setattr(ResultCache, "put_many",
+                            lambda self, entries: real(self,
+                                                       list(entries)[:-1]))
+        CampaignCoordinator(SMALL, workers=1, cache_dir=tmp_path / "c").run()
+        again = CampaignCoordinator(SMALL, workers=1,
+                                    cache_dir=tmp_path / "c").run()
+        # test_api's resume gate wants executed == 0.
+        assert again.executed == 4          # one per batch: 1, 2, 4, 1
 
 
 class TestFaultsCampaign:
